@@ -105,17 +105,13 @@ class ColumnOutputGenerator:
     # ------------------------------------------------------------------
     # Stage 2: ramp comparison in S2 (Eq. 4)
     # ------------------------------------------------------------------
-    def times_from_voltages(self, v_out: ArrayLike, backend=None) -> COGResult:
+    def times_from_voltages(self, v_out: ArrayLike) -> COGResult:
         """Output spike times for held column voltages.
 
-        ``backend`` routes the hot elementwise transforms through a
-        :class:`~repro.kernels.ComputeBackend` (default numpy — the
-        byte-identical reference; the numba backend inherits the numpy
-        transforms, so results never depend on the knob).
+        Allocates only what it returns: the times buffer, transformed in
+        place stage by stage, and the ``fired`` mask.  ``v_out`` is
+        never written; :attr:`COGResult.v_out` holds it.
         """
-        from ..kernels import get_backend
-
-        be = get_backend(backend)
         v = np.atleast_1d(np.asarray(v_out, dtype=float))
         if np.any(v < 0):
             raise CircuitError("held column voltages must be >= 0")
@@ -128,20 +124,25 @@ class ColumnOutputGenerator:
 
         p = self.params
         if self.exact:
-            ratio = threshold / p.v_s
-            reachable = ratio < 1.0
+            t = np.divide(threshold, p.v_s)  # V_out / V_s
+            unreachable = ~(t < 1.0)
+            # The ramp never reaches V_out >= V_s: those elements become
+            # nan or -inf below and are then overwritten with inf.
             with np.errstate(divide="ignore", invalid="ignore"):
-                t = -p.tau_gd * be.log1p(-be.where(reachable, ratio, 0.0))
-            t = be.where(reachable, t, np.inf)
+                np.negative(t, out=t)
+                np.log1p(t, out=t)
+                np.multiply(-p.tau_gd, t, out=t)
+            np.putmask(t, unreachable, np.inf)
         else:
-            t = threshold * p.tau_gd / p.v_s
+            t = np.multiply(threshold, p.tau_gd)
+            np.divide(t, p.v_s, out=t)
 
         if self.comparator is not None:
             t = np.asarray(self.comparator.output_edge_time(t), dtype=float)
 
         fired = t <= p.slice_length
-        times = be.where(fired, t, p.slice_length)
-        return COGResult(times=times, fired=fired, v_out=v)
+        np.putmask(t, ~fired, p.slice_length)
+        return COGResult(times=t, fired=fired, v_out=v)
 
     # ------------------------------------------------------------------
     # Composition

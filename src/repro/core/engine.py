@@ -115,14 +115,8 @@ class ReSiPEEngine:
         programmed conductances (the Fig. 7 protocol).  The original
         engine is untouched."""
         variation = VariationModel(sigma=sigma, distribution=distribution)
-        array = self.array.perturb(rng, variation=variation, faults=faults)
-        return ReSiPEEngine(
-            array,
-            self.params,
-            mode=self.mode,
-            codec=self.codec,
-            output_scale=self.output_scale,
-            compensate=self.compensate,
+        return self.with_array(
+            self.array.perturb(rng, variation=variation, faults=faults)
         )
 
     def faulted(
@@ -132,14 +126,7 @@ class ReSiPEEngine:
         :class:`~repro.faults.injectors.FaultInjector` — stuck-at,
         drift, wear, or any composition).  The original engine is
         untouched, mirroring :meth:`perturbed`."""
-        return ReSiPEEngine(
-            self.array.injected(injector, rng),
-            self.params,
-            mode=self.mode,
-            codec=self.codec,
-            output_scale=self.output_scale,
-            compensate=self.compensate,
-        )
+        return self.with_array(self.array.injected(injector, rng))
 
     def aged(
         self,
@@ -151,15 +138,23 @@ class ReSiPEEngine:
         seconds under ``retention`` (a
         :class:`repro.reram.retention.RetentionModel`).  The original
         engine is untouched."""
-        array = retention.age_array(self.array, elapsed, rng)
-        return ReSiPEEngine(
-            array,
-            self.params,
-            mode=self.mode,
-            codec=self.codec,
-            output_scale=self.output_scale,
-            compensate=self.compensate,
+        return self.with_array(retention.age_array(self.array, elapsed, rng))
+
+    def with_array(self, array: CrossbarArray) -> "ReSiPEEngine":
+        """This engine operating another realization of its crossbar.
+
+        The clone shares everything but the conductances — operating
+        point, codec, output scale, and the GD/COG stages — so a
+        Monte-Carlo clone costs two small objects.
+        """
+        clone = object.__new__(ReSiPEEngine)
+        clone.__dict__.update(self.__dict__)
+        clone.array = array
+        clone.mvm = SingleSpikeMVM(
+            array, self.params, mode=self.mode,
+            decoder=self.mvm.decoder, cog=self.mvm.cog,
         )
+        return clone
 
     # ------------------------------------------------------------------
     # Value-domain MVM
@@ -182,7 +177,7 @@ class ReSiPEEngine:
                 compensate_column_saturation(t_out, total_g, self.params),
                 dtype=float,
             )
-        return t_out / self.output_scale
+        return np.divide(t_out, self.output_scale, out=t_out)
 
     def mvm_values_stacked(
         self, x: np.ndarray, stacked: StackedCrossbar, backend=None
@@ -212,7 +207,7 @@ class ReSiPEEngine:
                 compensate_column_saturation(t_out, total_g, self.params),
                 dtype=float,
             )
-        return t_out / self.output_scale
+        return np.divide(t_out, self.output_scale, out=t_out)
 
     def output_times(self, x: np.ndarray) -> np.ndarray:
         """Raw output spike times for normalised input values."""

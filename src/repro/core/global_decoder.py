@@ -59,18 +59,25 @@ class GlobalDecoder:
         within ``[0, slice_length]``.
         """
         t = np.asarray(times, dtype=float)
-        present = ~np.isnan(t)
-        if np.any((t[present] < 0) | (t[present] > self.params.slice_length)):
+        p = self.params
+        # nan (no spike) compares False, so only real spikes are checked.
+        if np.any(t < 0) or np.any(t > p.slice_length):
             raise EncodingError(
                 "spike times must lie within the slice "
-                f"[0, {self.params.slice_length}]"
+                f"[0, {p.slice_length}]"
             )
-        safe_t = np.where(present, t, 0.0)
+        absent = np.isnan(t)
+        v = np.where(absent, 0.0, t)
         if self.exact:
-            v = self.params.v_s * (1.0 - np.exp(-safe_t / self.params.tau_gd))
+            np.negative(v, out=v)
+            np.divide(v, p.tau_gd, out=v)
+            np.exp(v, out=v)
+            np.subtract(1.0, v, out=v)
+            np.multiply(p.v_s, v, out=v)
         else:
-            v = self.params.v_s * safe_t / self.params.tau_gd
-        v = np.where(present, v, 0.0)
+            np.multiply(p.v_s, v, out=v)
+            np.divide(v, p.tau_gd, out=v)
+        np.putmask(v, absent, 0.0)
         if self.sample_hold is not None:
             v = np.asarray(self.sample_hold.sample(v), dtype=float)
         return v if np.ndim(v) else float(v)

@@ -128,11 +128,13 @@ class SingleSpikeMVM:
         if self.parasitic_thevenin is not None:
             v_eq = self.parasitic_thevenin.v_eq(v_in)  # (batch, cols)
             depth = p.dt / (self.parasitic_thevenin.r_eq * p.c_cog)
+            v_out = v_eq * (1.0 - np.exp(-depth))
         else:
             total_g = self.array.column_total_conductance()  # (cols,)
-            v_eq = (v_in @ g) / total_g  # (batch, cols)
+            v_out = v_in @ g  # (batch, cols), becomes V_eq then V_out
+            np.divide(v_out, total_g, out=v_out)
             depth = p.dt * total_g / p.c_cog  # (cols,)
-        v_out = v_eq * (1.0 - np.exp(-depth))
+            np.multiply(v_out, 1.0 - np.exp(-depth), out=v_out)
 
         batch_result = self.cog.times_from_voltages(v_out.ravel())
         shape = v_out.shape
@@ -155,9 +157,10 @@ class SingleSpikeMVM:
         :class:`COGResult` of ``(T, cols)`` or ``(T, batch, cols)``
         arrays.
 
-        The trial axis rides through one broadcast batched matmul plus
-        elementwise codec stages — both provided by ``backend`` (a
-        :class:`~repro.kernels.ComputeBackend`; default numpy) — so
+        The trial axis rides through one broadcast batched matmul —
+        provided by ``backend`` (a
+        :class:`~repro.kernels.ComputeBackend`; default numpy) — plus
+        in-place elementwise codec stages, so
         each ``result[t]`` is bit-identical to :meth:`evaluate` on the
         lone realization ``t`` at *any* backend choice — the property
         that lets the reproducibility suite compare persisted records
@@ -214,15 +217,13 @@ class SingleSpikeMVM:
         p = self.params
         v_in = np.asarray(self.decoder.voltages_from_times(t_in), dtype=float)
         total_g = stacked.column_total_conductance()  # (T, cols)
-        v_eq = (
-            stacked.mvm_currents(v_in, backend) / total_g[:, None, :]
-        )  # (T, b, cols)
+        # (T, b, cols) currents, divided into V_eq then charged into V_out
+        v_out = stacked.mvm_currents(v_in, backend)
+        np.divide(v_out, total_g[:, None, :], out=v_out)
         depth = p.dt * total_g / p.c_cog  # (T, cols)
-        v_out = v_eq * (1.0 - backend.exp(-depth))[:, None, :]
+        np.multiply(v_out, (1.0 - np.exp(-depth))[:, None, :], out=v_out)
 
-        batch_result = self.cog.times_from_voltages(
-            v_out.ravel(), backend=backend
-        )
+        batch_result = self.cog.times_from_voltages(v_out.ravel())
         shape = v_out.shape
         return COGResult(
             times=batch_result.times.reshape(shape),
@@ -234,14 +235,13 @@ class SingleSpikeMVM:
         self, t_in: np.ndarray, stacked: StackedCrossbar, backend
     ) -> COGResult:
         p = self.params
-        safe_t = backend.where(np.isnan(t_in), 0.0, t_in)
-        times = p.mac_gain * stacked.mvm_currents(
-            safe_t, backend
-        )  # Eq. 6, (T, b, cols)
+        safe_t = np.where(np.isnan(t_in), 0.0, t_in)
+        times = stacked.mvm_currents(safe_t, backend)  # (T, b, cols)
+        np.multiply(p.mac_gain, times, out=times)  # Eq. 6
         fired = times <= p.slice_length
-        clamped = backend.where(fired, times, p.slice_length)
         v_out = times * p.v_s / p.tau_gd
-        return COGResult(times=clamped, fired=fired, v_out=v_out)
+        np.putmask(times, ~fired, p.slice_length)
+        return COGResult(times=times, fired=fired, v_out=v_out)
 
     def _evaluate_linear(self, t_in: np.ndarray) -> COGResult:
         p = self.params

@@ -1,10 +1,9 @@
 """Pluggable compute backends for the trial-stacked MVM kernels.
 
-The Monte-Carlo fast path (PR 4) funnels every hot array operation —
-the broadcast batched matmul, the exp/log1p codec transforms, the
-banded partial-sum accumulation — through a tiny set of primitives.
-:class:`ComputeBackend` names those primitives; implementations swap
-the execution engine without touching the physics:
+The Monte-Carlo fast path funnels its hottest array operation — the
+broadcast batched trial matmul — through :class:`ComputeBackend`;
+implementations swap the execution engine without touching the physics
+(the elementwise codec stages around it are plain numpy):
 
 * :class:`NumpyBackend` — the default; literally the numpy calls the
   serial reference path runs, so results are byte-identical to today.

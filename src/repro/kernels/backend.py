@@ -1,28 +1,22 @@
 """The :class:`ComputeBackend` protocol and backend resolution.
 
-A backend implements the handful of array primitives the EXACT/LINEAR
-stacked MVM path actually executes.  Everything else in the signal
-chain is glue around these four calls, so swapping a backend swaps the
-entire hot loop:
+A backend provides the one array primitive of the stacked MVM hot path
+that an engine other than numpy could plausibly speed up:
 
 ``matmul``
     The broadcast trial product ``(..., rows) @ (T, rows, cols)`` —
     the single hottest operation of every Monte-Carlo sweep.
-``exp`` / ``log1p``
-    The COG charge-up and ramp-inversion column transforms (paper
-    Eqs. 3–4).
-``where``
-    Masked selection (absent-spike zeroing, saturation clamping).
-``accumulate``
-    Banded partial-sum accumulation ``out[..., cols] += partial`` of
-    the tile-grid digital adder.
 
-Bit-identity contract: the default numpy implementations *are* the
-expressions the serial reference path runs, so ``get_backend(None)``
+The elementwise stages around it (the COG charge-up and ramp inversion
+of paper Eqs. 3–4, masked clamps, the tile-grid partial-sum adder) are
+plain numpy, computed in place, and exist once with no backend fork:
+numpy's SIMD transcendental loops and a JIT's libm may disagree in the
+last ulp, and the backend knob must never change persisted bytes.
+
+Bit-identity contract: the default numpy implementation *is* the
+expression the serial reference path runs, so ``get_backend(None)``
 changes nothing.  Alternative backends must keep per-trial-slice
-bit-identity for ``matmul`` (the property the contract tests enforce);
-elementwise transforms inherit the numpy implementations unless a
-backend can guarantee last-ulp agreement.
+bit-identity for ``matmul`` (the property the contract tests enforce).
 """
 
 from __future__ import annotations
@@ -51,9 +45,8 @@ def _module_available(name: str) -> bool:
 class ComputeBackend(abc.ABC):
     """Array-primitive provider for the trial-stacked kernels.
 
-    Subclasses override :meth:`matmul` (mandatory) and may override the
-    elementwise transforms; the numpy defaults here are exactly what the
-    serial reference path computes, so partial overrides stay safe.
+    Subclasses implement :meth:`matmul`, the only primitive behind the
+    seam.
     """
 
     #: short identifier (``"numpy"``, ``"numba"``, ``"cupy"``)
@@ -69,27 +62,6 @@ class ComputeBackend(abc.ABC):
         bit-identical to the 2-D product ``x[t] @ w[t]`` (numpy's
         broadcast ``np.matmul`` semantics).
         """
-
-    def exp(self, x: np.ndarray) -> np.ndarray:
-        """Elementwise ``e**x`` (COG charge-up, Eq. 3)."""
-        return np.exp(x)
-
-    def log1p(self, x: np.ndarray) -> np.ndarray:
-        """Elementwise ``ln(1 + x)`` (ramp inversion, Eq. 4)."""
-        return np.log1p(x)
-
-    def where(self, mask: np.ndarray, a, b) -> np.ndarray:
-        """Elementwise masked select ``mask ? a : b``."""
-        return np.where(mask, a, b)
-
-    def accumulate(self, out: np.ndarray, col_slice: slice,
-                   partial: np.ndarray) -> None:
-        """In-place banded accumulation ``out[..., col_slice] += partial``.
-
-        The tile-grid digital adder; band order is the caller's, so
-        float accumulation stays bit-identical to the serial path.
-        """
-        out[..., col_slice] += partial
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

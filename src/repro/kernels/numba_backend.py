@@ -8,10 +8,10 @@ dispatches to the very BLAS kernel numpy's broadcast ``np.matmul``
 uses, so every output slice stays *bit-identical* to the numpy backend
 (the contract the kernels test suite enforces).
 
-Elementwise transforms (``exp``/``log1p``/``where``) deliberately stay
-on the inherited numpy implementations: numpy's SIMD transcendental
-loops and libm (what numba would compile to) may disagree in the last
-ulp, and the backend knob must never change persisted bytes.
+Only the product is JIT-compiled.  The elementwise codec stages stay
+numpy for every backend: numpy's SIMD transcendental loops and libm
+(what numba would compile to) may disagree in the last ulp, and the
+backend knob must never change persisted bytes.
 
 numba is imported lazily on first use; constructing the backend without
 numba installed raises :class:`~repro.errors.ConfigurationError` (the

@@ -1,7 +1,7 @@
 """The default numpy backend — byte-identical to the reference path.
 
-Every method is literally the numpy expression the pre-backend code
-ran, so routing the stacked kernels through this backend is a no-op:
+``matmul`` is literally the numpy expression the pre-backend code ran,
+so routing the stacked kernels through this backend is a no-op:
 fingerprints, persisted store bytes and stdout cannot change.  numpy
 evaluates the broadcast ``matmul`` slice-by-slice with the same 2-D
 GEMM kernel used for a lone trial, which is what makes stacked results

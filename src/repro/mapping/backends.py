@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Optional
+from typing import List, Optional, Sequence, cast
 
 import numpy as np
 
@@ -31,7 +31,8 @@ from ..reram.crossbar import StackedCrossbar
 from ..reram.device import DeviceSpec
 
 __all__ = ["HardwareBackend", "ProgrammedTile", "IdealBackend",
-           "ReSiPEBackend", "DesignBackend", "StackedTile", "stack_tiles"]
+           "ReSiPEBackend", "DesignBackend", "StackedTile", "stack_tiles",
+           "ConductancePool"]
 
 
 class ProgrammedTile(abc.ABC):
@@ -119,6 +120,14 @@ class IdealBackend(HardwareBackend):
 # ----------------------------------------------------------------------
 # ReSiPE backend
 # ----------------------------------------------------------------------
+def _remove_offset(y: np.ndarray, x: np.ndarray, offset_ratio: float) -> np.ndarray:
+    """Correct the conductance-window offset in place on ``y``:
+    ``(y - Σx · g_min/g_max) / (1 - g_min/g_max)`` against nominal
+    ``[0, 1]`` weights (``y`` is the tile's freshly decoded output)."""
+    np.subtract(y, np.expand_dims(x.sum(axis=-1), -1) * offset_ratio, out=y)
+    return np.divide(y, 1.0 - offset_ratio, out=y)
+
+
 class _ReSiPETile(ProgrammedTile):
     """Wraps one or more redundant :class:`ReSiPEEngine` copies,
     correcting the conductance-window offset so the tile computes
@@ -130,24 +139,51 @@ class _ReSiPETile(ProgrammedTile):
     robustness extension; see the redundancy ablation bench).
     """
 
+    _draw: tuple  # (source tile, cells, slots) of a lazy clone
+
     def __init__(self, engines: list) -> None:
         if not engines:
             raise MappingError("a tile needs at least one engine")
-        self._engines = engines
+        self._built: Optional[list] = engines
         spec = engines[0].array.spec
         self._offset_ratio = spec.g_min / spec.g_max
 
+    @classmethod
+    def drawn(cls, source: "_ReSiPETile", cells: np.ndarray,
+              slots: tuple) -> "_ReSiPETile":
+        """A Monte-Carlo clone of ``source`` whose redundancy slot ``r``
+        holds ``cells[start:stop]`` for ``(start, stop, shape) =
+        slots[r]``.  Its engines are built on first use, so a clone that
+        only feeds a trial stack costs one object."""
+        tile = object.__new__(cls)
+        tile._built = None
+        tile._draw = (source, cells, slots)
+        tile._offset_ratio = source._offset_ratio
+        return tile
+
+    @property
+    def _engines(self) -> list:
+        if self._built is None:
+            source, cells, slots = self._draw
+            self._built = [
+                e.with_array(
+                    e.array.with_conductances(cells[a:b].reshape(shape))
+                )
+                for e, (a, b, shape) in zip(source._engines, slots)
+            ]
+        return self._built
+
     def matmul(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        y = np.mean(
-            [np.asarray(e.mvm_values(x), dtype=float) for e in self._engines],
-            axis=0,
-        )
-        x_sum = x.sum(axis=-1)
-        corrected = (y - np.expand_dims(x_sum, -1) * self._offset_ratio) / (
-            1.0 - self._offset_ratio
-        )
-        return corrected
+        if len(self._engines) == 1:
+            y = np.asarray(self._engines[0].mvm_values(x), dtype=float)
+        else:
+            y = np.mean(
+                [np.asarray(e.mvm_values(x), dtype=float)
+                 for e in self._engines],
+                axis=0,
+            )
+        return _remove_offset(y, x, self._offset_ratio)
 
     def perturbed(self, rng: np.random.Generator, sigma: float) -> "_ReSiPETile":
         if sigma == 0:
@@ -318,19 +354,24 @@ class _StackedReSiPETile(StackedTile):
     bit for bit.
     """
 
-    def __init__(self, tiles: list) -> None:
+    def __init__(self, engines: list, stacks: List[StackedCrossbar]) -> None:
+        self._engines = engines
+        self._stacks = stacks
+        spec = self._engines[0].array.spec
+        self._offset_ratio = spec.g_min / spec.g_max
+
+    @classmethod
+    def from_tiles(cls, tiles: list) -> "_StackedReSiPETile":
         redundancies = {len(t._engines) for t in tiles}
         if len(redundancies) > 1:
             raise MappingError(
                 f"tiles disagree on redundancy: {sorted(redundancies)}"
             )
-        self._engines = tiles[0]._engines
-        self._stacks = [
+        engines = tiles[0]._engines
+        return cls(engines, [
             StackedCrossbar.from_arrays([t._engines[r].array for t in tiles])
-            for r in range(len(self._engines))
-        ]
-        spec = self._engines[0].array.spec
-        self._offset_ratio = spec.g_min / spec.g_max
+            for r in range(len(engines))
+        ])
 
     @property
     def trials(self) -> int:
@@ -338,19 +379,25 @@ class _StackedReSiPETile(StackedTile):
 
     def matmul(self, x: np.ndarray, backend=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        y = np.mean(
-            [
-                np.asarray(
-                    e.mvm_values_stacked(x, s, backend=backend), dtype=float
-                )
-                for e, s in zip(self._engines, self._stacks)
-            ],
-            axis=0,
-        )
-        x_sum = x.sum(axis=-1)
-        return (y - np.expand_dims(x_sum, -1) * self._offset_ratio) / (
-            1.0 - self._offset_ratio
-        )
+        if len(self._engines) == 1:
+            y = np.asarray(
+                self._engines[0].mvm_values_stacked(
+                    x, self._stacks[0], backend=backend
+                ),
+                dtype=float,
+            )
+        else:
+            y = np.mean(
+                [
+                    np.asarray(
+                        e.mvm_values_stacked(x, s, backend=backend),
+                        dtype=float,
+                    )
+                    for e, s in zip(self._engines, self._stacks)
+                ],
+                axis=0,
+            )
+        return _remove_offset(y, x, self._offset_ratio)
 
 
 class _LoopStackedTile(StackedTile):
@@ -393,5 +440,73 @@ def stack_tiles(tiles) -> StackedTile:
     if first_type is _IdealTile:
         return _StackedIdealTile(np.stack([t._w for t in tiles]))
     if first_type is _ReSiPETile:
-        return _StackedReSiPETile(tiles)
+        return _StackedReSiPETile.from_tiles(tiles)
     return _LoopStackedTile(tiles)
+
+
+class ConductancePool:
+    """Every programmed conductance of a sequence of ReSiPE tiles in one
+    flat buffer :attr:`cells`, in draw order: tile → redundancy slot →
+    row-major cell.
+
+    The network-level Monte-Carlo clone perturbs the whole buffer with
+    one draw and hands each tile a view of the result
+    (:meth:`realize`); :meth:`stack` turns ``T`` such draws, stacked
+    once into ``(T, N)``, into trial stacks that are views as well.
+    Build one with :meth:`of`.
+    """
+
+    def __init__(self, tiles: Sequence["_ReSiPETile"]) -> None:
+        self.tiles = tuple(tiles)
+        self.spec = self.tiles[0]._engines[0].array.spec
+        # Per tile, per redundancy slot: (start, stop, (rows, cols)).
+        self._slots: List[tuple] = []
+        start = 0
+        for tile in self.tiles:
+            slots = []
+            for engine in tile._engines:
+                shape = engine.array.shape
+                slots.append((start, start + shape[0] * shape[1], shape))
+                start = slots[-1][1]
+            self._slots.append(tuple(slots))
+        self.cells = np.concatenate([
+            engine.array.conductances.ravel()
+            for tile in self.tiles for engine in tile._engines
+        ])
+        self.cells.flags.writeable = False
+
+    @classmethod
+    def of(cls, tiles: Sequence[ProgrammedTile]) -> Optional["ConductancePool"]:
+        """The pool of ``tiles``, or ``None`` unless every tile is a
+        ReSiPE tile on one device spec.  Ideal, design and bit-sliced
+        tiles keep their own :meth:`ProgrammedTile.perturbed`."""
+        if not tiles or any(type(t) is not _ReSiPETile for t in tiles):
+            return None
+        resipe = cast(Sequence[_ReSiPETile], tiles)
+        spec = resipe[0]._engines[0].array.spec
+        if any(e.array.spec != spec for t in resipe for e in t._engines):
+            return None
+        return cls(resipe)
+
+    def realize(self, cells: np.ndarray) -> List[ProgrammedTile]:
+        """Clones of the pool's tiles whose arrays are views of one
+        realization ``cells`` of shape ``(N,)``."""
+        return [
+            _ReSiPETile.drawn(tile, cells, slots)
+            for tile, slots in zip(self.tiles, self._slots)
+        ]
+
+    def stack(self, cells: np.ndarray, tiles: Sequence) -> List[StackedTile]:
+        """Trial stacks of ``T`` realizations ``cells`` of shape
+        ``(T, N)``; ``tiles`` are the first realization's clones, whose
+        engines run the stacks."""
+        trials = cells.shape[0]
+        return [
+            _StackedReSiPETile(tile._engines, [
+                StackedCrossbar(
+                    cells[:, a:b].reshape((trials,) + shape), self.spec
+                )
+                for a, b, shape in slots
+            ])
+            for tile, slots in zip(tiles, self._slots)
+        ]

@@ -87,6 +87,8 @@ class _BitSlicedTile(ProgrammedTile):
         return np.sum(partials, axis=0)
 
     def perturbed(self, rng: np.random.Generator, sigma: float) -> "_BitSlicedTile":
+        if sigma == 0:
+            return self
         return _BitSlicedTile(
             [t.perturbed(rng, sigma) for t in self._tiles], list(self._scales)
         )

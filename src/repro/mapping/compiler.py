@@ -19,7 +19,8 @@ from ..errors import MappingError
 from ..nn.conv import Conv2D
 from ..nn.layers import Dense, Layer
 from ..nn.model import Sequential
-from .backends import HardwareBackend, ProgrammedTile
+from ..reram.variation import VariationModel
+from .backends import ConductancePool, HardwareBackend, ProgrammedTile
 from .tiling import TileGrid, tile_matrix
 from .weight_mapping import DifferentialWeights, map_signed_weights
 
@@ -92,7 +93,8 @@ class MappedLayer:
         neg = self.neg_grid.matmul_through(
             x01, lambda xb, i, j: self.neg_tiles[i][j].matmul(xb)
         )
-        return self.gain * self.diff.scale * (pos - neg)
+        np.subtract(pos, neg, out=pos)
+        return np.multiply(self.gain * self.diff.scale, pos, out=pos)
 
     def _with_tiles(self, clone_tile) -> "MappedLayer":
         """A clone whose every tile is ``clone_tile(tile)``; all other
@@ -126,10 +128,23 @@ class MappedNetwork:
 
     ``stages`` parallels the model's layer list: weighted layers carry
     their :class:`MappedLayer`, all others ``None`` (executed in software).
+
+    ``drawn`` is ``(pool, cells)`` when the network is one bulk
+    Monte-Carlo realization ``cells`` of ``pool`` (see
+    :meth:`perturbed`), which lets
+    :func:`~repro.mapping.stacked.stack_networks` stack realizations
+    with one copy.  Like every clone, treat such a network as a
+    snapshot: ``dataclasses.replace`` drops ``drawn``.
     """
 
     model: Sequential
     stages: List[Optional[MappedLayer]]
+    drawn: Optional[Tuple[ConductancePool, np.ndarray]] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _pool: Optional[ConductancePool] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def mapped_layers(self) -> List[MappedLayer]:
         """All hardware-mapped layers in order."""
@@ -138,6 +153,27 @@ class MappedNetwork:
     def total_tiles(self) -> int:
         """Total crossbars consumed by the whole network."""
         return sum(layer.num_tiles for layer in self.mapped_layers())
+
+    def tiles(self) -> List[ProgrammedTile]:
+        """Every programmed tile in draw order: stage → positive then
+        negative grid → row-major tile."""
+        return [
+            tile
+            for stage in self.mapped_layers()
+            for grid in (stage.pos_tiles, stage.neg_tiles)
+            for row in grid
+            for tile in row
+        ]
+
+    def _conductance_pool(self) -> Optional[ConductancePool]:
+        """The pool of this network's tiles (cached while they stay the
+        same objects), or ``None`` when the bulk draw does not apply."""
+        if not all(isinstance(s, MappedLayer) for s in self.mapped_layers()):
+            return None  # remapped layers are terminal
+        tiles = tuple(self.tiles())
+        if self._pool is None or self._pool.tiles != tiles:
+            self._pool = ConductancePool.of(tiles)
+        return self._pool
 
     def _with_stages(self, clone_stage) -> "MappedNetwork":
         """A clone whose every mapped stage is ``clone_stage(stage)``
@@ -151,8 +187,32 @@ class MappedNetwork:
         )
 
     def perturbed(self, rng: np.random.Generator, sigma: float) -> "MappedNetwork":
-        """Monte-Carlo clone of every mapped layer."""
-        return self._with_stages(lambda s: s.perturbed(rng, sigma))
+        """Monte-Carlo clone of every mapped layer.
+
+        Draw-order contract: one clone's variation is a single
+        ``rng.normal(1, σ, N)`` over all ``N`` programmed cells, in the
+        order stage → positive/negative grid → row-major tile →
+        redundancy slot → row-major cell, multiplied and clipped to the
+        device window once.  That is the very stream the per-tile chain
+        (:meth:`MappedLayer.perturbed`) consumes, so both give the same
+        bytes; each clone tile's arrays are views of the one buffer.
+        σ = 0 draws nothing and shares the pristine tiles.  Tiles
+        without a conductance matrix (ideal, design, bit-sliced) keep
+        the per-tile chain.
+        """
+        pool = self._conductance_pool() if sigma != 0 else None
+        if pool is None:
+            return self._with_stages(lambda s: s.perturbed(rng, sigma))
+        cells = VariationModel(sigma=sigma).perturb(
+            pool.cells, rng, spec=pool.spec
+        )
+        cells.flags.writeable = False
+        realized = iter(pool.realize(cells))
+        clone = self._with_stages(
+            lambda s: s._with_tiles(lambda _: next(realized))
+        )
+        clone.drawn = (pool, cells)
+        return clone
 
     def aged(self, retention, elapsed: float, rng=None) -> "MappedNetwork":
         """Clone of every mapped layer after retention drift."""

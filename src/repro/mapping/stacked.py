@@ -50,8 +50,8 @@ def _grid_product(
     ``x01`` is ``(batch, rows)`` (shared by all trials) or per-trial
     ``(T, batch, rows)``; the result is always ``(T, batch, cols)``.
     ``backend`` selects the stacked compute kernels
-    (:mod:`repro.kernels`; default numpy) for the tile products and the
-    band accumulation, and never changes results.
+    (:mod:`repro.kernels`; default numpy) for the tile products and
+    never changes results.
     """
     from ..kernels import get_backend
 
@@ -61,15 +61,16 @@ def _grid_product(
             f"input width {x01.shape[-1]} != matrix rows {grid.shape[0]}"
         )
     lead = x01.shape[:-1] if x01.ndim == 3 else (trials,) + x01.shape[:-1]
-    out = np.zeros(lead + (grid.shape[1],), dtype=float)
-    for i in range(grid.row_bands):
-        x_band = x01[..., grid.row_edges[i] : grid.row_edges[i + 1]]
-        for j in range(grid.col_bands):
-            partial = tiles[i][j].matmul(x_band, backend=be)
-            be.accumulate(
-                out, slice(grid.col_edges[j], grid.col_edges[j + 1]), partial
-            )
-    return out
+    bands = []
+    for j in range(grid.col_bands):
+        # A contiguous accumulator per column band, summed from 0.0 over
+        # the row bands in order, like the serial adder's output slice.
+        acc = np.zeros(lead + (grid.col_edges[j + 1] - grid.col_edges[j],))
+        for i in range(grid.row_bands):
+            x_band = x01[..., grid.row_edges[i] : grid.row_edges[i + 1]]
+            acc += tiles[i][j].matmul(x_band, backend=be)
+        bands.append(acc)
+    return bands[0] if len(bands) == 1 else np.concatenate(bands, axis=-1)
 
 
 @dataclasses.dataclass
@@ -127,7 +128,8 @@ class StackedMappedLayer:
         neg = _grid_product(
             self.neg_grid, self.neg_tiles, x01, self.trials, backend
         )
-        return self.gain * self.diff.scale * (pos - neg)
+        np.subtract(pos, neg, out=pos)
+        return np.multiply(self.gain * self.diff.scale, pos, out=pos)
 
 
 @dataclasses.dataclass
@@ -149,6 +151,7 @@ class StackedMappedNetwork:
 def _stack_grids(
     layers: Sequence[MappedLayer], attr: str
 ) -> List[List[StackedTile]]:
+    """Stack one polarity's grid position by position."""
     grid_tiles = [getattr(layer, attr) for layer in layers]
     rows = len(grid_tiles[0])
     cols = len(grid_tiles[0][0]) if rows else 0
@@ -161,7 +164,9 @@ def _stack_grids(
     ]
 
 
-def _stack_layers(layers: Sequence[MappedLayer]) -> StackedMappedLayer:
+def _stack_layers(
+    layers: Sequence[MappedLayer], stack_grid=_stack_grids
+) -> StackedMappedLayer:
     first = layers[0]
     names = {layer.name for layer in layers}
     if len(names) > 1:
@@ -176,8 +181,8 @@ def _stack_layers(layers: Sequence[MappedLayer]) -> StackedMappedLayer:
         diff=first.diff,
         pos_grid=first.pos_grid,
         neg_grid=first.neg_grid,
-        pos_tiles=_stack_grids(layers, "pos_tiles"),
-        neg_tiles=_stack_grids(layers, "neg_tiles"),
+        pos_tiles=stack_grid(layers, "pos_tiles"),
+        neg_tiles=stack_grid(layers, "neg_tiles"),
         gain=first.gain,
         trials=len(layers),
     )
@@ -189,7 +194,10 @@ def stack_networks(networks: Sequence[MappedNetwork]) -> StackedMappedNetwork:
 
     The clones must share a model and stage structure — which they do by
     construction, being ``perturbed``/``aged``/``faulted`` copies of one
-    compiled network.
+    compiled network.  Bulk-drawn clones of one network
+    (:meth:`MappedNetwork.perturbed`) stack with a single copy: their
+    ``T`` cell buffers become one ``(T, N)`` array whose column ranges
+    are every tile's trial stack.
     """
     networks = list(networks)
     if not networks:
@@ -202,6 +210,20 @@ def stack_networks(networks: Sequence[MappedNetwork]) -> StackedMappedNetwork:
         raise MappingError(
             f"networks disagree on stage count: {sorted(stage_counts)}"
         )
+    stack_grid = _stack_grids
+    pool = first.drawn[0] if first.drawn is not None else None
+    if pool is not None and all(
+        net.drawn is not None and net.drawn[0] is pool for net in networks
+    ):
+        cells = np.stack([net.drawn[1] for net in networks])
+        stacked_tiles = iter(pool.stack(cells, first.tiles()))
+
+        def one_copy_grid(layers, attr):
+            return [[next(stacked_tiles) for _ in row]
+                    for row in getattr(layers[0], attr)]
+
+        stack_grid = one_copy_grid
+
     stages: List[Optional[StackedMappedLayer]] = []
     for idx, stage in enumerate(first.stages):
         if stage is None:
@@ -212,7 +234,8 @@ def stack_networks(networks: Sequence[MappedNetwork]) -> StackedMappedNetwork:
             stages.append(None)
         else:
             stages.append(
-                _stack_layers([net.stages[idx] for net in networks])
+                _stack_layers([net.stages[idx] for net in networks],
+                              stack_grid)
             )
     return StackedMappedNetwork(
         model=first.model, stages=stages, trials=len(networks)

@@ -126,10 +126,7 @@ class CrossbarArray:
             g = variation.perturb(g, rng, spec=self.spec)
         if faults is not None:
             g = faults.inject(g, rng, self.spec)
-        clone = CrossbarArray(self.rows, self.cols, self.spec, self.r_access)
-        clone._g = np.asarray(g, dtype=float)
-        clone._write_count = self._write_count
-        return clone
+        return self.with_conductances(np.asarray(g, dtype=float))
 
     def injected(self, injector, rng: np.random.Generator) -> "CrossbarArray":
         """A *copy* of this array disturbed by a
@@ -146,9 +143,20 @@ class CrossbarArray:
                 f"injector changed array shape to {g.shape}, "
                 f"expected {self.shape}"
             )
-        clone = CrossbarArray(self.rows, self.cols, self.spec, self.r_access)
+        return self.with_conductances(g)
+
+    def with_conductances(self, g: np.ndarray) -> "CrossbarArray":
+        """A clone of this array (spec, access resistance, write count)
+        holding ``g`` as its conductance matrix.
+
+        ``g`` is taken as is — no copy, no quantisation, no shape check
+        — so a Monte-Carlo clone can be a view into a buffer drawn for a
+        whole network; callers own its shape and window clipping.
+        """
+        clone = object.__new__(CrossbarArray)
+        clone.__dict__.update(self.__dict__)
         clone._g = g
-        clone._write_count = self._write_count
+        clone._column_totals = None
         return clone
 
     # ------------------------------------------------------------------
@@ -173,8 +181,7 @@ class CrossbarArray:
         Cached between programming operations: every ``mvm_values`` call
         (and the saturation-compensation branch) needs it, so a hot
         inference loop would otherwise re-reduce the matrix per sample
-        batch.  ``program`` invalidates; ``perturb``/``injected`` clones
-        start fresh via ``__init__``.
+        batch.  ``program`` invalidates; clones start without totals.
         """
         if self._column_totals is None:
             totals = self._g.sum(axis=0)

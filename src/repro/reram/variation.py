@@ -84,13 +84,14 @@ class VariationModel:
     ) -> np.ndarray:
         """Return perturbed conductances (input is never modified)."""
         g = np.asarray(conductances, dtype=float)
-        out = g * self.multipliers(g.shape, rng)
+        out = self.multipliers(g.shape, rng)
+        np.multiply(g, out, out=out)
         if spec is not None and self.clip_to_window:
-            out = np.clip(out, spec.g_min, spec.g_max)
+            np.clip(out, spec.g_min, spec.g_max, out=out)
         else:
             # A negative conductance is unphysical under any model.
-            out = np.maximum(out, 0.0)
-        return out
+            np.maximum(out, 0.0, out=out)
+        return out if out.ndim else out[()]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 The kernels layer is an *execution* knob: ``get_backend`` must resolve
 names deterministically, refuse explicit requests for missing engines
-(never silently degrade), and the numpy backend must be bit-identical
-to the raw numpy expressions the serial reference path runs.
+(never silently degrade), and the numpy backend's trial product must be
+bit-identical to the raw numpy expression the serial reference path
+runs.
 """
 
 import numpy as np
@@ -103,25 +104,12 @@ class TestNumpyBackend:
         for t in range(4):
             assert np.array_equal(out[t], x[t] @ w[t])
 
-    def test_elementwise_defaults_are_numpy(self, rng):
-        be = NumpyBackend()
-        x = rng.random(32) - 0.5
-        assert np.array_equal(be.exp(x), np.exp(x))
-        assert np.array_equal(be.log1p(x), np.log1p(x))
-        mask = x > 0
-        assert np.array_equal(be.where(mask, x, 0.0),
-                              np.where(mask, x, 0.0))
-
-    def test_accumulate_is_in_place_banded_sum(self, rng):
-        be = NumpyBackend()
-        out = np.zeros((3, 5, 8))
-        partial = rng.random((3, 5, 4))
-        be.accumulate(out, slice(2, 6), partial)
-        assert np.array_equal(out[..., 2:6], partial)
-        assert np.all(out[..., :2] == 0)
-        assert np.all(out[..., 6:] == 0)
-        be.accumulate(out, slice(2, 6), partial)
-        assert np.array_equal(out[..., 2:6], partial + partial)
+    def test_matmul_is_the_only_primitive(self):
+        # The elementwise codec stages are plain numpy with no backend
+        # fork; only the trial product sits behind the seam.
+        assert ComputeBackend.__abstractmethods__ == frozenset({"matmul"})
+        for name in ("exp", "log1p", "where", "accumulate"):
+            assert not hasattr(NumpyBackend(), name)
 
     def test_is_compute_backend(self):
         assert isinstance(NumpyBackend(), ComputeBackend)
