@@ -96,13 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "any count)")
     fig7.add_argument("--trial-batch", type=int, default=1, metavar="T",
                       help="Monte-Carlo trials per stacked forward pass")
-    fig7.add_argument("--backend",
-                      choices=["numpy", "numba", "cupy", "auto"],
-                      default="numpy",
-                      help="stacked-kernel compute backend (execution "
-                           "knob; results byte-identical at any choice; "
-                           "auto falls back to numpy when the perf extra "
-                           "is missing)")
     fig7.add_argument("--fast", action="store_true",
                       help="small smoke preset (mlp-1, sigmas 0/0.10, "
                            "2 trials, 300 samples) for CI and demos")
@@ -151,12 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "any count)")
     faults.add_argument("--trial-batch", type=int, default=1, metavar="T",
                         help="trials per stacked forward pass")
-    faults.add_argument("--compute-backend",
-                        choices=["numpy", "numba", "cupy", "auto"],
-                        default="numpy",
-                        help="stacked-kernel compute backend (execution "
-                             "knob, distinct from the hardware --backend; "
-                             "results byte-identical at any choice)")
 
     sub.add_parser("fig1", parents=[common], help="two-layer signal relation (Fig. 1)")
 
@@ -366,8 +353,7 @@ def _run_fig7(args: argparse.Namespace) -> str:
             stuck_off=args.stuck_off,
         )
     return render_fig7(run_fig7(config, workers=args.workers,
-                                trial_batch=args.trial_batch,
-                                compute_backend=args.backend))
+                                trial_batch=args.trial_batch))
 
 
 def _run_faults(args: argparse.Namespace) -> str:
@@ -393,8 +379,7 @@ def _run_faults(args: argparse.Namespace) -> str:
     campaign = FaultCampaign(spec)
     result = campaign.run(max_trials=args.max_trials, verbose=True,
                           workers=args.workers,
-                          trial_batch=args.trial_batch,
-                          compute_backend=args.compute_backend)
+                          trial_batch=args.trial_batch)
     return render_campaign(result)
 
 

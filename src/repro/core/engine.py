@@ -20,7 +20,7 @@ import numpy as np
 
 from ..config import CircuitParameters
 from ..errors import MappingError, ShapeError
-from ..reram.crossbar import CrossbarArray, StackedCrossbar
+from ..reram.crossbar import CrossbarArray
 from ..reram.device import DeviceSpec
 from ..reram.variation import StuckAtFaultModel, VariationModel
 from .encoding import SingleSpikeCodec
@@ -145,7 +145,9 @@ class ReSiPEEngine:
 
         The clone shares everything but the conductances — operating
         point, codec, output scale, and the GD/COG stages — so a
-        Monte-Carlo clone costs two small objects.
+        Monte-Carlo clone costs two small objects.  ``array`` may hold a
+        ``(T, rows, cols)`` trial stack, making the clone evaluate ``T``
+        realizations at once.
         """
         clone = object.__new__(ReSiPEEngine)
         clone.__dict__.update(self.__dict__)
@@ -166,43 +168,20 @@ class ReSiPEEngine:
         ``[0, 1]``; the result is value-decoded output, ``(cols,)`` or
         ``(batch, cols)``.  Outputs that saturate the slice decode to
         the clamp value (the engine's dynamic-range ceiling).
+
+        An engine whose array holds a trial stack (see
+        :meth:`with_array`) also takes per-trial ``(T, batch, rows)``
+        inputs and returns ``(T, cols)`` or ``(T, batch, cols)``; slice
+        ``t`` is bit-identical to the lone realization ``t``.
         """
         x_arr = np.asarray(x, dtype=float)
         times_in = np.asarray(self.codec.times_from_values(x_arr), dtype=float)
         result = self.mvm.evaluate(times_in)
         t_out = result.times
         if self.compensate and self.mode is MVMMode.EXACT:
-            total_g = self.array.column_total_conductance()
-            t_out = np.asarray(
-                compensate_column_saturation(t_out, total_g, self.params),
-                dtype=float,
-            )
-        return np.divide(t_out, self.output_scale, out=t_out)
-
-    def mvm_values_stacked(
-        self, x: np.ndarray, stacked: StackedCrossbar, backend=None
-    ) -> np.ndarray:
-        """:meth:`mvm_values` over ``T`` conductance realizations at once.
-
-        ``stacked`` carries the Monte-Carlo trial tensor (built from
-        perturbed clones of this engine's array); ``x`` is ``(rows,)``,
-        ``(batch, rows)`` shared by every trial, or per-trial
-        ``(T, batch, rows)``.  Returns ``(T, cols)`` or
-        ``(T, batch, cols)``.  Codec, operating point, output scale and
-        compensation are this engine's own — exactly the state every
-        per-trial clone inherits — so each ``result[t]`` is bit-identical
-        to ``clone_t.mvm_values(x)``.  ``backend`` selects the stacked
-        compute kernels (:mod:`repro.kernels`; default numpy) and never
-        changes results.
-        """
-        x_arr = np.asarray(x, dtype=float)
-        times_in = np.asarray(self.codec.times_from_values(x_arr), dtype=float)
-        result = self.mvm.evaluate_stacked(times_in, stacked, backend=backend)
-        t_out = result.times
-        if self.compensate and self.mode is MVMMode.EXACT:
-            total_g = stacked.column_total_conductance()  # (T, cols)
-            if t_out.ndim == 3:
-                total_g = total_g[:, None, :]
+            total_g = self.array.column_total_conductance()  # ([T,] cols)
+            if t_out.ndim > total_g.ndim:
+                total_g = total_g[..., None, :]
             t_out = np.asarray(
                 compensate_column_saturation(t_out, total_g, self.params),
                 dtype=float,

@@ -11,20 +11,21 @@ the column output generators into one vectorised operator:
 
 EXACT mode carries the two non-linearities analysed in Section III-D
 (ramp curvature and column saturation); LINEAR mode is the idealised
-algebra.  Batched evaluation over many input vectors is a single numpy
+algebra.  Batched evaluation over many input vectors, and over a leading
+axis of Monte-Carlo conductance realizations, is a single numpy
 expression.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from ..config import CircuitParameters
 from ..errors import ConfigurationError, ShapeError
-from ..reram.crossbar import CrossbarArray, StackedCrossbar
+from ..reram.crossbar import CrossbarArray
 from ..telemetry import session as _telemetry
 from .cog import COGResult, ColumnOutputGenerator
 from .global_decoder import GlobalDecoder
@@ -59,7 +60,9 @@ class SingleSpikeMVM:
         Optional precomputed wire-parasitic column equivalents
         (:meth:`repro.reram.nonideal.IRDropSolver.column_thevenin`).
         When given, EXACT mode charges each column from the
-        IR-drop-degraded Thevenin source instead of the ideal one.
+        IR-drop-degraded Thevenin source instead of the ideal one.  It
+        describes one realization's wires, so it cannot accompany an
+        array holding a trial stack (:class:`ConfigurationError`).
     """
 
     def __init__(
@@ -77,6 +80,11 @@ class SingleSpikeMVM:
         exact = mode is MVMMode.EXACT
         self.decoder = decoder if decoder is not None else GlobalDecoder(params, exact=exact)
         self.cog = cog if cog is not None else ColumnOutputGenerator(params, exact=exact)
+        if parasitic_thevenin is not None and array.conductances.ndim == 3:
+            raise ConfigurationError(
+                "parasitic_thevenin is one realization's wire state; "
+                "a trial stack only supports the ideal column model"
+            )
         self.parasitic_thevenin = parasitic_thevenin
 
     # ------------------------------------------------------------------
@@ -90,13 +98,22 @@ class SingleSpikeMVM:
         return self.evaluate(input_times).times
 
     def evaluate(self, input_times: np.ndarray) -> COGResult:
-        """Full evaluation returning times, fired mask and held voltages."""
+        """Full evaluation returning times, fired mask and held voltages.
+
+        When the array holds a trial stack ``(T, rows, cols)``, inputs
+        may also be per-trial ``(T, batch, rows)`` and every result
+        carries the leading trial axis, ``(T, cols)`` or
+        ``(T, batch, cols)``.  The trial axis rides through one
+        broadcast matmul plus elementwise stages, so ``result[t]`` is
+        bit-identical to evaluating the lone realization ``t``.
+        """
         t_in = np.asarray(input_times, dtype=float)
         squeeze = t_in.ndim == 1
-        t_in = np.atleast_2d(t_in)
-        if t_in.shape[1] != self.array.rows:
+        if squeeze:
+            t_in = t_in[None, :]
+        if t_in.shape[-1] != self.array.rows:
             raise ShapeError(
-                f"input vector length {t_in.shape[1]} != crossbar rows "
+                f"input vector length {t_in.shape[-1]} != crossbar rows "
                 f"{self.array.rows}"
             )
 
@@ -107,33 +124,34 @@ class SingleSpikeMVM:
 
         session = _telemetry.active()
         if session is not None:
-            batch = t_in.shape[0]
-            session.count("mvm.count", batch)
+            products = result.times.size // self.array.cols  # T * batch
+            session.count("mvm.count", products)
             session.count(
-                "mvm.elements", batch * self.array.rows * self.array.cols
+                "mvm.elements", products * self.array.rows * self.array.cols
             )
 
         if squeeze:
             return COGResult(
-                times=result.times[0], fired=result.fired[0], v_out=result.v_out[0]
+                times=result.times[..., 0, :],
+                fired=result.fired[..., 0, :],
+                v_out=result.v_out[..., 0, :],
             )
         return result
 
     # ------------------------------------------------------------------
     def _evaluate_exact(self, t_in: np.ndarray) -> COGResult:
         p = self.params
-        g = self.array.conductances
-
         v_in = np.asarray(self.decoder.voltages_from_times(t_in), dtype=float)
         if self.parasitic_thevenin is not None:
             v_eq = self.parasitic_thevenin.v_eq(v_in)  # (batch, cols)
             depth = p.dt / (self.parasitic_thevenin.r_eq * p.c_cog)
             v_out = v_eq * (1.0 - np.exp(-depth))
         else:
-            total_g = self.array.column_total_conductance()  # (cols,)
-            v_out = v_in @ g  # (batch, cols), becomes V_eq then V_out
+            # (1, cols), or (T, 1, cols) for a trial stack
+            total_g = self.array.column_total_conductance()[..., None, :]
+            v_out = self.array.mvm_currents(v_in)  # becomes V_eq then V_out
             np.divide(v_out, total_g, out=v_out)
-            depth = p.dt * total_g / p.c_cog  # (cols,)
+            depth = p.dt * total_g / p.c_cog
             np.multiply(v_out, 1.0 - np.exp(-depth), out=v_out)
 
         batch_result = self.cog.times_from_voltages(v_out.ravel())
@@ -144,115 +162,16 @@ class SingleSpikeMVM:
             v_out=batch_result.v_out.reshape(shape),
         )
 
-    def evaluate_stacked(
-        self, input_times: np.ndarray, stacked: StackedCrossbar,
-        backend=None,
-    ) -> COGResult:
-        """Evaluate ``T`` Monte-Carlo conductance realizations at once.
-
-        ``stacked`` holds the trial tensor ``(T, rows, cols)``;
-        ``input_times`` is ``(rows,)`` / ``(batch, rows)`` (same inputs
-        for every trial) or ``(T, batch, rows)`` (per-trial inputs, the
-        shape deeper layers see once trials have diverged).  Returns a
-        :class:`COGResult` of ``(T, cols)`` or ``(T, batch, cols)``
-        arrays.
-
-        The trial axis rides through one broadcast batched matmul —
-        provided by ``backend`` (a
-        :class:`~repro.kernels.ComputeBackend`; default numpy) — plus
-        in-place elementwise codec stages, so
-        each ``result[t]`` is bit-identical to :meth:`evaluate` on the
-        lone realization ``t`` at *any* backend choice — the property
-        that lets the reproducibility suite compare persisted records
-        byte for byte across serial and stacked paths.
-        """
-        from ..kernels import get_backend
-
-        backend = get_backend(backend)
-        t_in = np.asarray(input_times, dtype=float)
-        squeeze = t_in.ndim == 1
-        if t_in.ndim == 1:
-            t_in = t_in[None, :]
-        if t_in.ndim == 3 and t_in.shape[0] != stacked.trials:
-            raise ShapeError(
-                f"per-trial inputs carry {t_in.shape[0]} trials, "
-                f"stack holds {stacked.trials}"
-            )
-        if t_in.shape[-1] != stacked.rows:
-            raise ShapeError(
-                f"input vector length {t_in.shape[-1]} != crossbar rows "
-                f"{stacked.rows}"
-            )
-        if self.parasitic_thevenin is not None:
-            raise ConfigurationError(
-                "parasitic_thevenin is per-realization state; the stacked "
-                "trial path only supports the ideal column model"
-            )
-
-        if self.mode is MVMMode.LINEAR:
-            result = self._evaluate_linear_stacked(t_in, stacked, backend)
-        else:
-            result = self._evaluate_exact_stacked(t_in, stacked, backend)
-
-        session = _telemetry.active()
-        if session is not None:
-            batch = t_in.shape[-2] if t_in.ndim == 3 else t_in.shape[0]
-            products = stacked.trials * batch
-            session.count("mvm.count", products)
-            session.count(
-                "mvm.elements", products * stacked.rows * stacked.cols
-            )
-
-        if squeeze:
-            return COGResult(
-                times=result.times[:, 0],
-                fired=result.fired[:, 0],
-                v_out=result.v_out[:, 0],
-            )
-        return result
-
-    def _evaluate_exact_stacked(
-        self, t_in: np.ndarray, stacked: StackedCrossbar, backend
-    ) -> COGResult:
-        p = self.params
-        v_in = np.asarray(self.decoder.voltages_from_times(t_in), dtype=float)
-        total_g = stacked.column_total_conductance()  # (T, cols)
-        # (T, b, cols) currents, divided into V_eq then charged into V_out
-        v_out = stacked.mvm_currents(v_in, backend)
-        np.divide(v_out, total_g[:, None, :], out=v_out)
-        depth = p.dt * total_g / p.c_cog  # (T, cols)
-        np.multiply(v_out, (1.0 - np.exp(-depth))[:, None, :], out=v_out)
-
-        batch_result = self.cog.times_from_voltages(v_out.ravel())
-        shape = v_out.shape
-        return COGResult(
-            times=batch_result.times.reshape(shape),
-            fired=batch_result.fired.reshape(shape),
-            v_out=batch_result.v_out.reshape(shape),
-        )
-
-    def _evaluate_linear_stacked(
-        self, t_in: np.ndarray, stacked: StackedCrossbar, backend
-    ) -> COGResult:
+    def _evaluate_linear(self, t_in: np.ndarray) -> COGResult:
         p = self.params
         safe_t = np.where(np.isnan(t_in), 0.0, t_in)
-        times = stacked.mvm_currents(safe_t, backend)  # (T, b, cols)
+        times = self.array.mvm_currents(safe_t)
         np.multiply(p.mac_gain, times, out=times)  # Eq. 6
         fired = times <= p.slice_length
+        # Back out the voltage a COG would have held (linear Eq. 4).
         v_out = times * p.v_s / p.tau_gd
         np.putmask(times, ~fired, p.slice_length)
         return COGResult(times=times, fired=fired, v_out=v_out)
-
-    def _evaluate_linear(self, t_in: np.ndarray) -> COGResult:
-        p = self.params
-        g = self.array.conductances
-        safe_t = np.where(np.isnan(t_in), 0.0, t_in)
-        times = p.mac_gain * (safe_t @ g)  # Eq. 6
-        fired = times <= p.slice_length
-        clamped = np.where(fired, times, p.slice_length)
-        # Back out the voltage a COG would have held (linear Eq. 4).
-        v_out = times * p.v_s / p.tau_gd
-        return COGResult(times=clamped, fired=fired, v_out=v_out)
 
     # ------------------------------------------------------------------
     def linear_full_scale_time(self, t_in_max: float) -> float:

@@ -23,7 +23,6 @@ from ..analysis.tables import render_table
 from ..config import CircuitParameters
 from ..core.mvm import MVMMode
 from ..errors import ConfigurationError, ExecutionError
-from ..kernels import get_backend
 from ..mapping import PIMExecutor, ReSiPEBackend, compile_network
 from ..runtime import CampaignCell, CampaignScheduler, trial_rng
 from ..telemetry import session as _telemetry
@@ -169,14 +168,12 @@ def _sigma_column(
     x_eval: np.ndarray,
     y_eval: np.ndarray,
     trial_batch: int,
-    backend=None,
 ) -> Tuple[float, float]:
     """(mean, min) accuracy of one σ column over the Monte-Carlo trials.
 
     Trials are seeded by identity (network key, σ, trial index) and
-    evaluated ``trial_batch`` at a time through the stacked kernels —
-    bit-identical to serial evaluation at any batch size and any
-    compute ``backend`` (:mod:`repro.kernels`).
+    evaluated ``trial_batch`` at a time as one trial stack —
+    bit-identical to one trial at a time at any batch size.
     """
     if sigma == 0 and not config.has_faults:
         acc = executor.accuracy(x_eval, y_eval)
@@ -194,20 +191,15 @@ def _sigma_column(
                 )
             else:
                 trial_execs.append(executor.perturbed(rng, sigma))
-        if len(trial_execs) > 1:
-            stacked = executor.accuracy_trials(
-                x_eval, y_eval, [e.network for e in trial_execs],
-                backend=backend,
-            )
-            accs.extend(float(a) for a in stacked)
-        else:
-            accs.extend(e.accuracy(x_eval, y_eval) for e in trial_execs)
+        stacked = executor.accuracy_trials(
+            x_eval, y_eval, [e.network for e in trial_execs]
+        )
+        accs.extend(float(a) for a in stacked)
     return (float(np.mean(accs)), float(np.min(accs)))
 
 
 def _evaluate_network(
     net: TrainedNetwork, config: Fig7Config, trial_batch: int = 1,
-    backend=None,
 ) -> NetworkAccuracy:
     with _telemetry.span("fig7.network", network=net.spec.key):
         executor, x_eval, y_eval = _prepare_network(net, config)
@@ -219,7 +211,7 @@ def _evaluate_network(
             ):
                 by_sigma[sigma] = _sigma_column(
                     net, executor, config, sigma, x_eval, y_eval,
-                    trial_batch, backend,
+                    trial_batch,
                 )
     software = float(
         np.mean(net.model.predict(x_eval, batch_size=128) == y_eval)
@@ -237,19 +229,13 @@ def _evaluate_network(
 # networks it is handed.  Preparation is deterministic and trials are
 # seeded by identity, so the column values are independent of which
 # worker computes them.
-_FIG7_STATE: Optional[Tuple[Fig7Config, int, object, Dict[str, tuple]]] = None
+_FIG7_STATE: Optional[Tuple[Fig7Config, int, Dict[str, tuple]]] = None
 
 
-def _fig7_worker_init(
-    config: Fig7Config, trial_batch: int,
-    compute_backend: Optional[str] = None,
-) -> None:
+def _fig7_worker_init(config: Fig7Config, trial_batch: int) -> None:
     """Install the study config in the worker (process-pool initializer)."""
     global _FIG7_STATE
-    backend = (
-        get_backend(compute_backend) if compute_backend is not None else None
-    )
-    _FIG7_STATE = (config, trial_batch, backend, {})
+    _FIG7_STATE = (config, trial_batch, {})
 
 
 def _fig7_worker(task: Tuple[str, float]) -> Tuple[float, float]:
@@ -258,7 +244,7 @@ def _fig7_worker(task: Tuple[str, float]) -> Tuple[float, float]:
         raise ExecutionError(
             "fig7 worker called before its initializer installed a config"
         )
-    config, trial_batch, backend, cache = _FIG7_STATE
+    config, trial_batch, cache = _FIG7_STATE
     key, sigma = task
     if key not in cache:
         net = get_benchmark_networks(
@@ -267,7 +253,7 @@ def _fig7_worker(task: Tuple[str, float]) -> Tuple[float, float]:
         cache[key] = (net,) + _prepare_network(net, config)
     net, executor, x_eval, y_eval = cache[key]
     return _sigma_column(
-        net, executor, config, sigma, x_eval, y_eval, trial_batch, backend
+        net, executor, config, sigma, x_eval, y_eval, trial_batch
     )
 
 
@@ -282,7 +268,7 @@ def _fig7_prepare_local(config: Fig7Config, cell: CampaignCell) -> None:
 
 
 def run_fig7(config: Optional[Fig7Config] = None, workers: int = 1,
-             trial_batch: int = 1, compute_backend=None) -> Fig7Result:
+             trial_batch: int = 1) -> Fig7Result:
     """Run the full Fig. 7 study.
 
     Parameters
@@ -297,12 +283,9 @@ def run_fig7(config: Optional[Fig7Config] = None, workers: int = 1,
         retried on a fresh pool.
     trial_batch:
         Monte-Carlo trials evaluated per stacked forward pass.
-    compute_backend:
-        Stacked-kernel engine (:func:`repro.kernels.get_backend` name
-        or instance; default numpy).
 
-    All three knobs are execution details: results are byte-identical
-    for a fixed config at any worker count, batch size or backend.
+    Both knobs are execution details: results are byte-identical for a
+    fixed config at any worker count or batch size.
     """
     config = config if config is not None else Fig7Config()
     if workers < 1:
@@ -311,26 +294,23 @@ def run_fig7(config: Optional[Fig7Config] = None, workers: int = 1,
         raise ConfigurationError(
             f"need trial_batch >= 1, got {trial_batch!r}"
         )
-    backend = (
-        get_backend(compute_backend) if compute_backend is not None else None
-    )
     with _telemetry.span(
         "fig7.run",
         networks=len(config.networks) if config.networks else "all",
         sigmas=len(config.sigmas), trials=config.trials, workers=workers,
     ):
-        return _run_fig7_inner(config, workers, trial_batch, backend)
+        return _run_fig7_inner(config, workers, trial_batch)
 
 
-def _run_fig7_inner(config: Fig7Config, workers: int, trial_batch: int,
-                    backend=None) -> Fig7Result:
+def _run_fig7_inner(config: Fig7Config, workers: int,
+                    trial_batch: int) -> Fig7Result:
     keys: Optional[Sequence[str]] = config.networks
     if workers <= 1:
         networks = get_benchmark_networks(
             keys=keys, n_samples=config.n_samples, seed=config.seed
         )
         rows = [
-            _evaluate_network(net, config, trial_batch, backend)
+            _evaluate_network(net, config, trial_batch)
             for net in networks
         ]
         return Fig7Result(config=config, rows=rows)
@@ -354,12 +334,11 @@ def _run_fig7_inner(config: Fig7Config, workers: int, trial_batch: int,
             )
             for sigma in config.sigmas
         )
-    backend_name = backend.name if backend is not None else None
     scheduler = CampaignScheduler(
         _fig7_worker,
         workers=workers,
         initializer=_fig7_worker_init,
-        initargs=(config, trial_batch, backend_name),
+        initargs=(config, trial_batch),
         local_fn=functools.partial(_fig7_prepare_local, config),
     )
     results = scheduler.run(cells)

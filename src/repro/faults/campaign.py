@@ -41,7 +41,6 @@ from ..mapping import (
     ReSiPEBackend,
     compile_network,
 )
-from ..kernels import get_backend
 from ..mapping.remap import detect_and_remap
 from ..runtime import CampaignCell, CampaignScheduler, trial_rng
 from ..store import ArtifactStore, get_store, spec_hash
@@ -260,9 +259,6 @@ class FaultCampaign:
         self.spec = spec
         self.store = store if store is not None else get_store()
         self._prepared = None
-        # Stacked-kernel compute backend (execution knob, never spec):
-        # resolved per run(); None means the byte-identical numpy path.
-        self._compute_backend = None
 
     # ------------------------------------------------------------------
     def trial_key(self, rate: float, sigma: float, age: float,
@@ -310,14 +306,6 @@ class FaultCampaign:
         self._prepared = (net, backend, mapped, executor, probe,
                           x_eval, y_eval)
         return self._prepared
-
-    def _compute_backend_name(self) -> Optional[str]:
-        """The picklable backend selector worker initializers receive
-        (resolved instances may hold unpicklable JIT state, so the name
-        crosses the process boundary and each worker re-resolves it)."""
-        if self._compute_backend is None:
-            return None
-        return self._compute_backend.name
 
     def _run_local_cell(self, cell) -> None:
         """Parent-side shared cell of the campaign DAG: train + map +
@@ -390,16 +378,9 @@ class FaultCampaign:
             executor.faulted(prepared[i][2], prepared[i][1])
             for i in faulted_idx
         ]
-        if len(faulted_execs) > 1:
-            stacked_accs = executor.accuracy_trials(
-                x_eval, y_eval, [fe.network for fe in faulted_execs],
-                backend=self._compute_backend,
-            )
-            unprotected = [float(a) for a in stacked_accs]
-        else:
-            unprotected = [
-                fe.accuracy(x_eval, y_eval) for fe in faulted_execs
-            ]
+        unprotected = [float(a) for a in executor.accuracy_trials(
+            x_eval, y_eval, [fe.network for fe in faulted_execs]
+        )] if faulted_execs else []
 
         baseline: Optional[float] = None
         records: List[dict] = []
@@ -438,8 +419,7 @@ class FaultCampaign:
 
     def run(self, max_trials: Optional[int] = None,
             verbose: bool = False, workers: int = 1,
-            trial_batch: int = 1,
-            compute_backend=None) -> CampaignResult:
+            trial_batch: int = 1) -> CampaignResult:
         """Execute the campaign, resuming from stored records.
 
         Parameters
@@ -457,14 +437,9 @@ class FaultCampaign:
             land (interrupted parallel runs resume without recompute),
             and crashed workers are retried on a fresh pool.
         trial_batch:
-            Trials evaluated per stacked forward pass (the
-            trial-vectorized kernels); 1 evaluates serially.  Results
-            are byte-identical at any batch size.
-        compute_backend:
-            Stacked-kernel engine (:func:`repro.kernels.get_backend`
-            name or instance; default numpy).  An execution knob like
-            ``workers``/``trial_batch``: fingerprints, persisted bytes
-            and stdout are identical for any choice.
+            Trials evaluated per stacked forward pass; 1 evaluates
+            one trial at a time.  Results are byte-identical at any
+            batch size.
         """
         if workers < 1:
             raise ConfigurationError(f"need workers >= 1, got {workers!r}")
@@ -472,12 +447,6 @@ class FaultCampaign:
             raise ConfigurationError(
                 f"need trial_batch >= 1, got {trial_batch!r}"
             )
-        # Resolve eagerly so a bad name fails before any compute, and
-        # keep the resolved engine for the in-process trial groups.
-        self._compute_backend = (
-            get_backend(compute_backend) if compute_backend is not None
-            else None
-        )
         # One deterministic trace id per campaign run: the campaign.run
         # span, every scheduler cell and the grafted worker-side span
         # trees all stitch under it (no-op without a telemetry session).
@@ -546,13 +515,13 @@ class FaultCampaign:
                     _campaign_worker,
                     workers=workers,
                     initializer=_campaign_worker_init,
-                    initargs=(self.spec, self._compute_backend_name()),
+                    initargs=(self.spec,),
                     local_fn=self._run_local_cell,
                 )
             else:
                 # In-process: install *this* campaign (warm _prepared,
-                # caller-chosen store, resolved backend) as the worker
-                # state; the instance is never pickled at workers <= 1.
+                # caller-chosen store) as the worker state; the instance
+                # is never pickled at workers <= 1.
                 scheduler = CampaignScheduler(
                     _campaign_worker,
                     workers=1,
@@ -603,20 +572,16 @@ class FaultCampaign:
 _WORKER_CAMPAIGN: Optional[FaultCampaign] = None
 
 
-def _campaign_worker_init(
-    spec: CampaignSpec, compute_backend: Optional[str] = None
-) -> None:
+def _campaign_worker_init(spec: CampaignSpec) -> None:
     """Build the per-process campaign (process-pool initializer)."""
     global _WORKER_CAMPAIGN
     _WORKER_CAMPAIGN = FaultCampaign(spec)
-    if compute_backend is not None:
-        _WORKER_CAMPAIGN._compute_backend = get_backend(compute_backend)
 
 
 def _campaign_worker_install(campaign: FaultCampaign) -> None:
     """Serial-path initializer: serve groups from an existing campaign
-    instance (its warm ``_prepared`` state, caller-chosen store and
-    resolved compute backend) instead of rebuilding from the spec."""
+    instance (its warm ``_prepared`` state and caller-chosen store)
+    instead of rebuilding from the spec."""
     global _WORKER_CAMPAIGN
     _WORKER_CAMPAIGN = campaign
 

@@ -14,9 +14,9 @@ Bridges the trained numpy networks and the PIM hardware models:
   programmed tiles.
 * :mod:`repro.mapping.executor` — runs inference through the mapped
   hardware with activation-scale calibration (the Fig. 7 pipeline).
-* :mod:`repro.mapping.stacked` — trial-stacked network views: ``T``
-  Monte-Carlo realizations collapse into ``(T, rows, cols)`` tile
-  tensors so variation sweeps run all trials in one broadcast kernel.
+* :mod:`repro.mapping.stacked` — trial stacks: ``T`` Monte-Carlo
+  realizations collapse into ``(T, rows, cols)`` tile tensors so
+  variation sweeps run all trials through the one datapath at once.
 * :mod:`repro.mapping.remap` — detect-and-remap graceful degradation:
   probe-flagged columns move onto spare column strips (or an exact
   software fallback) so a faulty chip keeps classifying.
@@ -30,12 +30,11 @@ from .backends import (
     IdealBackend,
     ReSiPEBackend,
     DesignBackend,
-    StackedTile,
     stack_tiles,
 )
 from .compiler import MappedLayer, MappedNetwork, compile_network
 from .executor import PIMExecutor
-from .stacked import StackedMappedLayer, StackedMappedNetwork, stack_networks
+from .stacked import stack_networks
 from .deployment import DeploymentReport, LayerDeployment, plan_deployment
 from .bit_slicing import BitSlicingBackend, slice_weights
 from .remap import (
@@ -56,14 +55,11 @@ __all__ = [
     "IdealBackend",
     "ReSiPEBackend",
     "DesignBackend",
-    "StackedTile",
     "stack_tiles",
     "MappedLayer",
     "MappedNetwork",
     "compile_network",
     "PIMExecutor",
-    "StackedMappedLayer",
-    "StackedMappedNetwork",
     "stack_networks",
     "DeploymentReport",
     "LayerDeployment",

@@ -26,12 +26,11 @@ from ..baselines.base import PIMDesign
 from ..config import CircuitParameters
 from ..core.engine import ReSiPEEngine
 from ..core.mvm import MVMMode
-from ..errors import MappingError
-from ..reram.crossbar import StackedCrossbar
+from ..errors import MappingError, ShapeError
 from ..reram.device import DeviceSpec
 
 __all__ = ["HardwareBackend", "ProgrammedTile", "IdealBackend",
-           "ReSiPEBackend", "DesignBackend", "StackedTile", "stack_tiles",
+           "ReSiPEBackend", "DesignBackend", "stack_tiles",
            "ConductancePool"]
 
 
@@ -124,7 +123,7 @@ def _remove_offset(y: np.ndarray, x: np.ndarray, offset_ratio: float) -> np.ndar
     """Correct the conductance-window offset in place on ``y``:
     ``(y - Σx · g_min/g_max) / (1 - g_min/g_max)`` against nominal
     ``[0, 1]`` weights (``y`` is the tile's freshly decoded output)."""
-    np.subtract(y, np.expand_dims(x.sum(axis=-1), -1) * offset_ratio, out=y)
+    np.subtract(y, x.sum(axis=-1)[..., None] * offset_ratio, out=y)
     return np.divide(y, 1.0 - offset_ratio, out=y)
 
 
@@ -152,8 +151,9 @@ class _ReSiPETile(ProgrammedTile):
     def drawn(cls, source: "_ReSiPETile", cells: np.ndarray,
               slots: tuple) -> "_ReSiPETile":
         """A Monte-Carlo clone of ``source`` whose redundancy slot ``r``
-        holds ``cells[start:stop]`` for ``(start, stop, shape) =
-        slots[r]``.  Its engines are built on first use, so a clone that
+        holds ``cells[..., start:stop]`` for ``(start, stop, shape) =
+        slots[r]``; ``cells`` of shape ``(T, N)`` makes it a trial
+        stack.  Its engines are built on first use, so a clone that
         only feeds a trial stack costs one object."""
         tile = object.__new__(cls)
         tile._built = None
@@ -165,13 +165,36 @@ class _ReSiPETile(ProgrammedTile):
     def _engines(self) -> list:
         if self._built is None:
             source, cells, slots = self._draw
+            lead = cells.shape[:-1]
             self._built = [
-                e.with_array(
-                    e.array.with_conductances(cells[a:b].reshape(shape))
-                )
+                e.with_array(e.array.with_conductances(
+                    cells[..., a:b].reshape(lead + shape)
+                ))
                 for e, (a, b, shape) in zip(source._engines, slots)
             ]
         return self._built
+
+    @classmethod
+    def stacked(cls, tiles: Sequence["_ReSiPETile"]) -> "_ReSiPETile":
+        """The trial stack of per-trial clones of one tile: per
+        redundancy slot, one array holding the ``(T, rows, cols)``
+        conductances.  Codec, operating point and output scale come
+        from the first clone's engines (clones share them by
+        construction)."""
+        redundancies = {len(t._engines) for t in tiles}
+        if len(redundancies) > 1:
+            raise MappingError(
+                f"tiles disagree on redundancy: {sorted(redundancies)}"
+            )
+        shapes = {e.array.shape for t in tiles for e in t._engines}
+        if len(shapes) > 1:
+            raise ShapeError(f"tiles disagree on shape: {sorted(shapes)}")
+        return cls([
+            e.with_array(e.array.with_conductances(
+                np.stack([t._engines[r].array.conductances for t in tiles])
+            ))
+            for r, e in enumerate(tiles[0]._engines)
+        ])
 
     def matmul(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -303,118 +326,17 @@ class DesignBackend(HardwareBackend):
 
 
 # ----------------------------------------------------------------------
-# Trial-stacked tiles (the Monte-Carlo fast path)
+# Trial stacks (the Monte-Carlo fast path)
 # ----------------------------------------------------------------------
-class StackedTile(abc.ABC):
-    """``T`` Monte-Carlo realizations of one tile position, evaluated as
-    one broadcast kernel.
-
-    ``matmul`` accepts inputs ``(batch, rows)`` shared by every trial or
-    per-trial ``(T, batch, rows)`` and returns ``(T, batch, cols)``.
-    Each output slice ``t`` is bit-identical to the corresponding
-    per-trial :meth:`ProgrammedTile.matmul` — the contract the serial /
-    stacked reproducibility suite enforces.  ``backend`` selects the
-    stacked compute kernels (:mod:`repro.kernels`; default numpy) and
-    never changes results.
-    """
-
-    @property
-    @abc.abstractmethod
-    def trials(self) -> int:
-        """Number of stacked realizations."""
-
-    @abc.abstractmethod
-    def matmul(self, x: np.ndarray, backend=None) -> np.ndarray:
-        """Compute ``x @ w_t`` for every trial ``t`` at once."""
-
-
-class _StackedIdealTile(StackedTile):
-    def __init__(self, weight_stack: np.ndarray) -> None:
-        self._w = np.asarray(weight_stack, dtype=float)
-
-    @property
-    def trials(self) -> int:
-        return self._w.shape[0]
-
-    def matmul(self, x: np.ndarray, backend=None) -> np.ndarray:
-        from ..kernels import get_backend
-
-        return get_backend(backend).matmul(
-            np.asarray(x, dtype=float), self._w
-        )
-
-
-class _StackedReSiPETile(StackedTile):
-    """Trial stack of a :class:`_ReSiPETile`.
-
-    Per redundancy slot the per-trial engine arrays collapse into one
-    :class:`StackedCrossbar`; codec, operating point and output scale
-    come from the first trial's engines (Monte-Carlo clones share them
-    by construction), so the whole signal chain matches the serial tile
-    bit for bit.
-    """
-
-    def __init__(self, engines: list, stacks: List[StackedCrossbar]) -> None:
-        self._engines = engines
-        self._stacks = stacks
-        spec = self._engines[0].array.spec
-        self._offset_ratio = spec.g_min / spec.g_max
-
-    @classmethod
-    def from_tiles(cls, tiles: list) -> "_StackedReSiPETile":
-        redundancies = {len(t._engines) for t in tiles}
-        if len(redundancies) > 1:
-            raise MappingError(
-                f"tiles disagree on redundancy: {sorted(redundancies)}"
-            )
-        engines = tiles[0]._engines
-        return cls(engines, [
-            StackedCrossbar.from_arrays([t._engines[r].array for t in tiles])
-            for r in range(len(engines))
-        ])
-
-    @property
-    def trials(self) -> int:
-        return self._stacks[0].trials
-
-    def matmul(self, x: np.ndarray, backend=None) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if len(self._engines) == 1:
-            y = np.asarray(
-                self._engines[0].mvm_values_stacked(
-                    x, self._stacks[0], backend=backend
-                ),
-                dtype=float,
-            )
-        else:
-            y = np.mean(
-                [
-                    np.asarray(
-                        e.mvm_values_stacked(x, s, backend=backend),
-                        dtype=float,
-                    )
-                    for e, s in zip(self._engines, self._stacks)
-                ],
-                axis=0,
-            )
-        return _remove_offset(y, x, self._offset_ratio)
-
-
-class _LoopStackedTile(StackedTile):
-    """Fallback stack for backends without a broadcast kernel (baseline
-    functional models): per-trial loop with the stacked calling
-    convention, so every backend supports ``forward_trials``."""
+class _TrialLoopTile(ProgrammedTile):
+    """A trial stack of tiles without a broadcast kernel (baseline
+    functional models, bit-sliced tiles): one lone matmul per trial,
+    with the trial-stack calling convention of :func:`stack_tiles`."""
 
     def __init__(self, tiles: list) -> None:
         self._tiles = tiles
 
-    @property
-    def trials(self) -> int:
-        return len(self._tiles)
-
-    def matmul(self, x: np.ndarray, backend=None) -> np.ndarray:
-        # ``backend`` is accepted for interface uniformity but unused:
-        # baseline functional models have no broadcast kernel to swap.
+    def matmul(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim == 3:
             return np.stack(
@@ -422,14 +344,19 @@ class _LoopStackedTile(StackedTile):
             )
         return np.stack([tile.matmul(x) for tile in self._tiles])
 
+    def perturbed(self, rng: np.random.Generator, sigma: float) -> "ProgrammedTile":
+        raise MappingError("a trial stack cannot be re-drawn")
 
-def stack_tiles(tiles) -> StackedTile:
-    """Collapse per-trial :class:`ProgrammedTile` clones of one tile
-    position into a :class:`StackedTile`.
 
-    Dispatches on the tile type: ideal tiles stack their weight
-    matrices, ReSiPE tiles stack conductance tensors per redundancy
-    slot, anything else falls back to a per-trial loop.
+def stack_tiles(tiles) -> ProgrammedTile:
+    """Collapse per-trial clones of one tile position into a trial stack.
+
+    The stack's ``matmul`` takes inputs ``(batch, rows)`` shared by every
+    trial or per-trial ``(T, batch, rows)`` and returns
+    ``(T, batch, cols)``, slice ``t`` bit-identical to ``tiles[t]``.
+    Ideal tiles stack their weight matrices and ReSiPE tiles their
+    conductances per redundancy slot, so one broadcast matmul serves all
+    trials; anything else loops over the trials.
     """
     tiles = list(tiles)
     if not tiles:
@@ -438,10 +365,10 @@ def stack_tiles(tiles) -> StackedTile:
     if any(type(t) is not first_type for t in tiles):
         raise MappingError("cannot stack tiles of mixed backend types")
     if first_type is _IdealTile:
-        return _StackedIdealTile(np.stack([t._w for t in tiles]))
+        return _IdealTile(np.stack([t._w for t in tiles]))
     if first_type is _ReSiPETile:
-        return _StackedReSiPETile.from_tiles(tiles)
-    return _LoopStackedTile(tiles)
+        return _ReSiPETile.stacked(tiles)
+    return _TrialLoopTile(tiles)
 
 
 class ConductancePool:
@@ -451,8 +378,8 @@ class ConductancePool:
 
     The network-level Monte-Carlo clone perturbs the whole buffer with
     one draw and hands each tile a view of the result
-    (:meth:`realize`); :meth:`stack` turns ``T`` such draws, stacked
-    once into ``(T, N)``, into trial stacks that are views as well.
+    (:meth:`realize`); ``T`` such draws, stacked once into ``(T, N)``,
+    realize into trial stacks that are views as well.
     Build one with :meth:`of`.
     """
 
@@ -490,23 +417,9 @@ class ConductancePool:
 
     def realize(self, cells: np.ndarray) -> List[ProgrammedTile]:
         """Clones of the pool's tiles whose arrays are views of one
-        realization ``cells`` of shape ``(N,)``."""
+        realization ``cells`` of shape ``(N,)``, or trial stacks of
+        ``T`` realizations stacked into ``(T, N)``."""
         return [
             _ReSiPETile.drawn(tile, cells, slots)
             for tile, slots in zip(self.tiles, self._slots)
-        ]
-
-    def stack(self, cells: np.ndarray, tiles: Sequence) -> List[StackedTile]:
-        """Trial stacks of ``T`` realizations ``cells`` of shape
-        ``(T, N)``; ``tiles`` are the first realization's clones, whose
-        engines run the stacks."""
-        trials = cells.shape[0]
-        return [
-            _StackedReSiPETile(tile._engines, [
-                StackedCrossbar(
-                    cells[:, a:b].reshape((trials,) + shape), self.spec
-                )
-                for a, b, shape in slots
-            ])
-            for tile, slots in zip(tiles, self._slots)
         ]

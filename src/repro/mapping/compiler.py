@@ -76,7 +76,11 @@ class MappedLayer:
     def matmul_with_bias_level(self, x01: np.ndarray, bias_level: float) -> np.ndarray:
         """Like :meth:`matmul` but drives the folded bias row at
         ``bias_level`` (the executor uses ``1/activation_scale`` so the
-        bias is correctly scaled relative to normalised activations)."""
+        bias is correctly scaled relative to normalised activations).
+
+        In a trial stack ``x01`` is ``(batch, rows)`` shared by every
+        trial or per-trial ``(T, batch, rows)``, and the product is
+        ``(T, batch, cols)``."""
         x01 = np.asarray(x01, dtype=float)
         if self.diff.has_bias_row:
             if not 0 <= bias_level <= 1:
@@ -129,6 +133,11 @@ class MappedNetwork:
     ``stages`` parallels the model's layer list: weighted layers carry
     their :class:`MappedLayer`, all others ``None`` (executed in software).
 
+    ``trials`` is the number of conductance realizations every tile
+    holds: 1 for a compiled chip and its Monte-Carlo clones, ``T`` for
+    a trial stack built by :func:`~repro.mapping.stacked.stack_networks`,
+    whose forward passes carry a leading trial axis.
+
     ``drawn`` is ``(pool, cells)`` when the network is one bulk
     Monte-Carlo realization ``cells`` of ``pool`` (see
     :meth:`perturbed`), which lets
@@ -139,6 +148,7 @@ class MappedNetwork:
 
     model: Sequential
     stages: List[Optional[MappedLayer]]
+    trials: int = 1
     drawn: Optional[Tuple[ConductancePool, np.ndarray]] = dataclasses.field(
         default=None, init=False, repr=False, compare=False
     )

@@ -17,16 +17,15 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError, MappingError, ShapeError
 from ..nn.conv import Conv2D, im2col
 from ..nn.layers import Dense
-from ..nn.model import Sequential
 from .compiler import MappedLayer, MappedNetwork
-from .stacked import StackedMappedLayer, StackedMappedNetwork, stack_networks
+from .stacked import stack_networks
 
 __all__ = ["PIMExecutor"]
 
@@ -108,32 +107,52 @@ class PIMExecutor:
     # Execution
     # ------------------------------------------------------------------
     def _run_mapped(self, stage: MappedLayer, activation: np.ndarray) -> np.ndarray:
-        """One weighted layer on hardware, handling Dense vs Conv."""
+        """One weighted layer on hardware, handling Dense vs Conv.
+
+        On a trial stack ``activation`` is ``(batch, ...)`` before the
+        trials diverge (the network input or a software prefix) or
+        ``(T, batch, ...)`` afterwards; the result then always carries
+        the leading trial axis.
+        """
         scale = self.activation_scales[stage.name]
         bias_level = 1.0 / scale
         layer = stage.source
         if isinstance(layer, Dense):
             x01 = np.clip(np.asarray(activation, dtype=float) / scale, 0.0, 1.0)
-            self._count_launches(stage, x01.shape[0] if x01.ndim > 1 else 1)
-            return scale * stage.matmul_with_bias_level(x01, bias_level)
+            out = scale * stage.matmul_with_bias_level(x01, bias_level)
+            self._count_launches(stage, out)
+            return out
         if isinstance(layer, Conv2D):
             x = np.asarray(activation, dtype=float)
-            if x.ndim != 4:
-                raise ShapeError(f"{layer.name}: expected (N, C, H, W), got {x.shape}")
-            cols, (h_out, w_out) = im2col(x, layer.kernel, layer.stride, layer.pad)
-            x01 = np.clip(cols / scale, 0.0, 1.0)
-            self._count_launches(stage, x01.shape[0])
-            flat = scale * stage.matmul_with_bias_level(x01, bias_level)
-            n = x.shape[0]
-            return flat.reshape(n, h_out, w_out, layer.out_channels).transpose(
-                0, 3, 1, 2
+            if x.ndim not in (4, 5):
+                raise ShapeError(
+                    f"{layer.name}: expected (N, C, H, W) or "
+                    f"(T, N, C, H, W), got {x.shape}"
+                )
+            # im2col is per-sample, so per-trial inputs lower as one
+            # merged (T*N) batch to the same rows as T separate calls.
+            lead, n = x.shape[:-4], x.shape[-4]
+            cols, (h_out, w_out) = im2col(
+                x.reshape((-1,) + x.shape[-3:]),
+                layer.kernel, layer.stride, layer.pad,
             )
+            x01 = np.clip(cols.reshape(lead + (-1, cols.shape[-1])) / scale,
+                          0.0, 1.0)
+            flat = scale * stage.matmul_with_bias_level(x01, bias_level)
+            self._count_launches(stage, flat)
+            out = flat.reshape(
+                flat.shape[:-2] + (n, h_out, w_out, layer.out_channels)
+            )
+            return np.moveaxis(out, -1, -3)
         raise MappingError(f"unsupported mapped layer type {type(layer).__name__}")
 
     # ------------------------------------------------------------------
     # Hardware-activity instrumentation
     # ------------------------------------------------------------------
-    def _count_launches(self, stage: MappedLayer, vectors: int) -> None:
+    def _count_launches(self, stage: MappedLayer, out: np.ndarray) -> None:
+        """Charge one launch per tile for every output vector of
+        ``out`` (every row of every trial)."""
+        vectors = out.size // out.shape[-1]
         self.mvm_launches[stage.name] = (
             self.mvm_launches.get(stage.name, 0) + vectors * stage.num_tiles
         )
@@ -162,10 +181,31 @@ class PIMExecutor:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Full forward pass with weighted layers on hardware."""
+        return self._forward(x, self.network)
+
+    def _forward(self, x: np.ndarray, network: MappedNetwork) -> np.ndarray:
+        """Forward ``x`` through ``network`` under this executor's
+        calibration: ``(batch, out)`` for a lone chip, ``(T, batch,
+        out)`` for a trial stack.
+
+        Once a stack's trials diverge, software stages run on the merged
+        ``(T*batch, ...)`` activation (they are per-sample
+        deterministic), so slice ``t`` is bit-identical to the forward
+        pass of clone ``t``.
+        """
         activation = np.asarray(x, dtype=float)
-        for layer, stage in zip(self.network.model, self.network.stages):
+        diverged = False
+        for layer, stage in zip(network.model, network.stages):
             if stage is not None:
                 activation = self._run_mapped(stage, activation)
+                diverged = network.trials > 1
+            elif diverged:
+                trials, batch = activation.shape[:2]
+                flat = activation.reshape(
+                    (trials * batch,) + activation.shape[2:]
+                )
+                out = layer.forward(flat, training=False)
+                activation = out.reshape((trials, batch) + out.shape[1:])
             else:
                 activation = layer.forward(activation, training=False)
         return activation
@@ -197,134 +237,41 @@ class PIMExecutor:
     # ------------------------------------------------------------------
     # Trial-stacked execution (the Monte-Carlo fast path)
     # ------------------------------------------------------------------
-    def _run_mapped_stacked(
-        self, stage: StackedMappedLayer, activation: np.ndarray,
-        backend=None,
-    ) -> np.ndarray:
-        """One weighted layer over all ``T`` trial realizations at once.
-
-        ``activation`` is ``(batch, ...)`` before trials diverge (the
-        network input or a software prefix) or ``(T, batch, ...)``
-        afterwards; the result always carries the leading trial axis.
-        ``backend`` selects the stacked compute kernels
-        (:mod:`repro.kernels`; default numpy) and never changes results.
-        """
-        scale = self.activation_scales[stage.name]
-        bias_level = 1.0 / scale
-        layer = stage.source
-        if isinstance(layer, Dense):
-            x01 = np.clip(np.asarray(activation, dtype=float) / scale, 0.0, 1.0)
-            self._count_launches(stage, x01.shape[-2] * stage.trials)
-            return scale * stage.matmul_with_bias_level(
-                x01, bias_level, backend
-            )
-        if isinstance(layer, Conv2D):
-            x = np.asarray(activation, dtype=float)
-            if x.ndim == 4:
-                # Shared inputs: one im2col feeds every trial.
-                cols, (h_out, w_out) = im2col(
-                    x, layer.kernel, layer.stride, layer.pad
-                )
-                n = x.shape[0]
-                x01 = np.clip(cols / scale, 0.0, 1.0)
-            elif x.ndim == 5:
-                # Per-trial inputs: im2col is per-sample, so the merged
-                # (T*N) batch lowers to the same rows as T serial calls.
-                trials, n = x.shape[:2]
-                merged = x.reshape((trials * n,) + x.shape[2:])
-                cols, (h_out, w_out) = im2col(
-                    merged, layer.kernel, layer.stride, layer.pad
-                )
-                cols = cols.reshape(trials, cols.shape[0] // trials, -1)
-                x01 = np.clip(cols / scale, 0.0, 1.0)
-            else:
-                raise ShapeError(
-                    f"{layer.name}: expected (N, C, H, W) or "
-                    f"(T, N, C, H, W), got {x.shape}"
-                )
-            self._count_launches(stage, x01.shape[-2] * stage.trials)
-            flat = scale * stage.matmul_with_bias_level(
-                x01, bias_level, backend
-            )
-            return flat.reshape(
-                stage.trials, n, h_out, w_out, layer.out_channels
-            ).transpose(0, 1, 4, 2, 3)
-        raise MappingError(f"unsupported mapped layer type {type(layer).__name__}")
-
-    def _forward_stacked(
-        self, x: np.ndarray, stacked: StackedMappedNetwork, backend=None
-    ) -> np.ndarray:
-        """Forward pass through a pre-stacked network: ``(T, batch, out)``.
-
-        Software stages run on the merged ``(T*batch, ...)`` activation
-        (they are per-sample deterministic), mapped stages on the
-        broadcast trial kernels; each output slice ``t`` is bit-identical
-        to :meth:`forward` on the serial per-trial clone, at any
-        ``backend`` (:mod:`repro.kernels`) choice.
-        """
-        activation = np.asarray(x, dtype=float)
-        has_trials = False
-        for layer, stage in zip(stacked.model, stacked.stages):
-            if stage is not None:
-                activation = self._run_mapped_stacked(
-                    stage, activation, backend
-                )
-                has_trials = True
-            elif has_trials:
-                trials, batch = activation.shape[:2]
-                flat = activation.reshape(
-                    (trials * batch,) + activation.shape[2:]
-                )
-                out = layer.forward(flat, training=False)
-                activation = out.reshape((trials, batch) + out.shape[1:])
-            else:
-                activation = layer.forward(activation, training=False)
-        return activation
-
     def forward_trials(
-        self, x: np.ndarray, networks: Sequence[MappedNetwork],
-        backend=None,
+        self, x: np.ndarray, networks: Sequence[MappedNetwork]
     ) -> np.ndarray:
         """Forward all per-trial network clones in one stacked pass.
 
         ``networks`` are Monte-Carlo clones of this executor's network
         (``perturbed``/``aged``/``faulted`` realizations); the result is
         ``(T, batch, out)`` with slice ``t`` bit-identical to running
-        ``networks[t]`` serially under this executor's calibration.
-        ``backend`` selects the stacked compute kernels
-        (:mod:`repro.kernels`; default numpy) and never changes results.
+        ``networks[t]`` alone under this executor's calibration.
         """
-        from ..kernels import get_backend
-
-        return self._forward_stacked(
-            x, stack_networks(list(networks)), get_backend(backend)
-        )
+        stacked = stack_networks(networks)
+        out = self._forward(x, stacked)
+        return out if stacked.trials > 1 else out[None]
 
     def predict_trials(
         self,
         x: np.ndarray,
         networks: Sequence[MappedNetwork],
         batch_size: int = 256,
-        backend=None,
     ) -> np.ndarray:
         """Per-trial class predictions, ``(T, n_samples)``.
 
         A zero-row input returns ``(T, 0)`` without touching the
-        hardware kernels, mirroring :meth:`predict`.  ``backend`` is an
-        execution knob only — predictions are identical for any choice.
+        hardware kernels, mirroring :meth:`predict`.
         """
-        from ..kernels import get_backend
-
         x = np.asarray(x, dtype=float)
         if x.shape[0] == 0:
             return np.empty((len(networks), 0), dtype=np.intp)
-        be = get_backend(backend)
-        stacked = stack_networks(list(networks))
+        stacked = stack_networks(networks)
         outputs = [
-            self._forward_stacked(x[i : i + batch_size], stacked, be)
+            self._forward(x[i : i + batch_size], stacked)
             for i in range(0, x.shape[0], batch_size)
         ]
-        return np.argmax(np.concatenate(outputs, axis=1), axis=-1)
+        labels = np.argmax(np.concatenate(outputs, axis=-2), axis=-1)
+        return labels.reshape(stacked.trials, -1)
 
     def accuracy_trials(
         self,
@@ -332,18 +279,16 @@ class PIMExecutor:
         labels: np.ndarray,
         networks: Sequence[MappedNetwork],
         batch_size: int = 256,
-        backend=None,
     ) -> np.ndarray:
         """Per-trial top-1 accuracies, ``(T,)`` — each entry equals the
-        serial :meth:`accuracy` of the corresponding clone (at any
-        ``backend`` choice)."""
+        :meth:`accuracy` of the corresponding clone."""
         x = np.asarray(x, dtype=float)
         if x.shape[0] == 0:
             raise ConfigurationError(
                 "accuracy of an empty evaluation batch is undefined; "
                 "pass at least one sample"
             )
-        predictions = self.predict_trials(x, networks, batch_size, backend)
+        predictions = self.predict_trials(x, networks, batch_size)
         labels = np.asarray(labels)
         return np.mean(predictions == labels[None, :], axis=-1)
 

@@ -64,21 +64,27 @@ class TileGrid:
 
         ``tile_op(x_band, i, j)`` must return the partial product of the
         input slice for row band ``i`` against tile ``(i, j)``.  Partial
-        sums across row bands are accumulated digitally.
+        sums across row bands are accumulated digitally: each column band
+        in its own contiguous accumulator, from 0.0 in row band order.
+        The output takes its leading axes from the partial products, so
+        tiles holding a trial stack yield ``(T, ..., cols)``.
         """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.shape[0]:
             raise ShapeError(
                 f"input width {x.shape[-1]} != matrix rows {self.shape[0]}"
             )
-        out_shape = x.shape[:-1] + (self.shape[1],)
-        out = np.zeros(out_shape, dtype=float)
-        for i in range(self.row_bands):
-            x_band = x[..., self.row_edges[i] : self.row_edges[i + 1]]
-            for j in range(self.col_bands):
-                partial = tile_op(x_band, i, j)
-                out[..., self.col_edges[j] : self.col_edges[j + 1]] += partial
-        return out
+        x_bands = [
+            x[..., self.row_edges[i] : self.row_edges[i + 1]]
+            for i in range(self.row_bands)
+        ]
+        bands = []
+        for j in range(self.col_bands):
+            acc = 0.0 + tile_op(x_bands[0], 0, j)
+            for i in range(1, self.row_bands):
+                acc += tile_op(x_bands[i], i, j)
+            bands.append(acc)
+        return bands[0] if len(bands) == 1 else np.concatenate(bands, axis=-1)
 
 
 def _edges(total: int, chunk: int) -> Tuple[int, ...]:

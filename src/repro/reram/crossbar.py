@@ -14,15 +14,16 @@ Non-idealities live elsewhere so the ideal array stays exact:
 process variation in :mod:`repro.reram.variation`, wire parasitics in
 :mod:`repro.reram.nonideal`.
 
-For Monte-Carlo sweeps, :class:`StackedCrossbar` holds ``T`` conductance
-realizations of one programmed array as a single ``(T, rows, cols)``
-tensor so all trials evaluate in one broadcast numpy expression (the
-trial-stacked fast path of the Fig. 7 / fault-campaign runners).
+For Monte-Carlo sweeps one array can hold ``T`` conductance
+realizations as a single ``(T, rows, cols)`` tensor (see
+:meth:`CrossbarArray.with_conductances`); the analog compute broadcasts
+over that optional leading trial axis, so all trials evaluate in one
+numpy expression and a lone array is simply the ``T = 1`` case.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from ..errors import DeviceError, ShapeError
 from .device import DeviceSpec
 from .variation import StuckAtFaultModel, VariationModel
 
-__all__ = ["CrossbarArray", "StackedCrossbar"]
+__all__ = ["CrossbarArray"]
 
 
 class CrossbarArray:
@@ -151,7 +152,9 @@ class CrossbarArray:
 
         ``g`` is taken as is — no copy, no quantisation, no shape check
         — so a Monte-Carlo clone can be a view into a buffer drawn for a
-        whole network; callers own its shape and window clipping.
+        whole network; callers own its shape and window clipping.  A
+        ``(T, rows, cols)`` tensor makes the clone a trial stack: ``T``
+        realizations evaluated at once by the analog compute below.
         """
         clone = object.__new__(CrossbarArray)
         clone.__dict__.update(self.__dict__)
@@ -166,17 +169,27 @@ class CrossbarArray:
         """Ideal bitline currents for wordline ``voltages``.
 
         Accepts a vector ``(rows,)`` or a batch ``(n, rows)``; returns
-        ``(cols,)`` or ``(n, cols)`` respectively.
+        ``(cols,)`` or ``(n, cols)`` respectively.  A trial stack returns
+        ``(T, cols)`` / ``(T, n, cols)`` and also takes per-trial inputs
+        ``(T, n, rows)``: one broadcast ``np.matmul`` runs the same 2-D
+        GEMM per trial slice, so slice ``t`` is bit-identical to the lone
+        realization ``t``.
         """
         v = np.asarray(voltages, dtype=float)
         if v.shape[-1] != self.rows:
             raise ShapeError(
                 f"voltage vector length {v.shape[-1]} != rows {self.rows}"
             )
+        if v.ndim == 3 and self._g.ndim == 3 and v.shape[0] != len(self._g):
+            raise ShapeError(
+                f"per-trial voltages carry {v.shape[0]} trials, "
+                f"array holds {len(self._g)}"
+            )
         return v @ self._g
 
     def column_total_conductance(self) -> np.ndarray:
-        """Per-column ``Σ_i G[i, j]`` — the paper's Eq. 2 denominator.
+        """Per-column ``Σ_i G[i, j]`` — the paper's Eq. 2 denominator
+        (``(T, cols)`` for a trial stack).
 
         Cached between programming operations: every ``mvm_values`` call
         (and the saturation-compensation branch) needs it, so a hot
@@ -184,7 +197,7 @@ class CrossbarArray:
         batch.  ``program`` invalidates; clones start without totals.
         """
         if self._column_totals is None:
-            totals = self._g.sum(axis=0)
+            totals = self._g.sum(axis=-2)
             totals.flags.writeable = False
             self._column_totals = totals
         return self._column_totals
@@ -224,107 +237,3 @@ class CrossbarArray:
             f"window [{self.spec.g_min:.2e}, {self.spec.g_max:.2e}] S)"
         )
 
-
-class StackedCrossbar:
-    """A stack of ``T`` Monte-Carlo conductance realizations of one array.
-
-    Holds the trials as a single ``(T, rows, cols)`` tensor so the analog
-    MVM for *all* trials and the whole input batch collapses into one
-    broadcast ``np.matmul`` — ``(batch, rows) @ (T, rows, cols)`` →
-    ``(T, batch, cols)``.  numpy evaluates that broadcast product
-    slice-by-slice with the same 2-D GEMM kernel used for a lone trial,
-    so stacked results are *bit-identical* to running each realization
-    through :meth:`CrossbarArray.mvm_currents` separately (the property
-    the reproducibility suite pins down).
-
-    Instances are immutable snapshots: build one from already-perturbed
-    :class:`CrossbarArray` clones via :meth:`from_arrays`.
-    """
-
-    def __init__(self, conductances: np.ndarray, spec: DeviceSpec) -> None:
-        g = np.asarray(conductances, dtype=float)
-        if g.ndim != 3:
-            raise ShapeError(
-                f"stacked conductances must be (T, rows, cols), got {g.shape}"
-            )
-        if g.shape[0] < 1:
-            raise DeviceError("stack must hold at least one trial")
-        self._g = g
-        self.spec = spec
-        self._column_totals: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_arrays(cls, arrays: Sequence[CrossbarArray]) -> "StackedCrossbar":
-        """Stack per-trial :class:`CrossbarArray` realizations.
-
-        All arrays must share one shape (they are clones of the same
-        programmed tile, differing only in the Monte-Carlo draw).
-        """
-        if not arrays:
-            raise DeviceError("cannot stack an empty sequence of arrays")
-        shapes = {a.shape for a in arrays}
-        if len(shapes) > 1:
-            raise ShapeError(f"arrays disagree on shape: {sorted(shapes)}")
-        return cls(np.stack([a.conductances for a in arrays]), arrays[0].spec)
-
-    @property
-    def trials(self) -> int:
-        return self._g.shape[0]
-
-    @property
-    def rows(self) -> int:
-        return self._g.shape[1]
-
-    @property
-    def cols(self) -> int:
-        return self._g.shape[2]
-
-    @property
-    def shape(self) -> Tuple[int, int, int]:
-        return self._g.shape  # type: ignore[return-value]
-
-    @property
-    def conductances(self) -> np.ndarray:
-        """The ``(T, rows, cols)`` tensor (read-only view)."""
-        g = self._g.view()
-        g.flags.writeable = False
-        return g
-
-    def mvm_currents(self, voltages: np.ndarray, backend=None) -> np.ndarray:
-        """Bitline currents for every trial at once.
-
-        Accepts ``(rows,)``, ``(batch, rows)`` or per-trial inputs
-        ``(T, batch, rows)``; returns ``(T, cols)``, ``(T, batch, cols)``
-        or ``(T, batch, cols)`` respectively via the broadcast batched
-        matmul of ``backend`` (a
-        :class:`~repro.kernels.ComputeBackend` or a name for
-        :func:`~repro.kernels.get_backend`; default numpy — the
-        byte-identical reference).
-        """
-        from ..kernels import get_backend
-
-        v = np.asarray(voltages, dtype=float)
-        if v.shape[-1] != self.rows:
-            raise ShapeError(
-                f"voltage vector length {v.shape[-1]} != rows {self.rows}"
-            )
-        if v.ndim == 3 and v.shape[0] != self.trials:
-            raise ShapeError(
-                f"per-trial voltages have {v.shape[0]} trials, "
-                f"stack holds {self.trials}"
-            )
-        return get_backend(backend).matmul(v, self._g)
-
-    def column_total_conductance(self) -> np.ndarray:
-        """Per-trial, per-column ``Σ_i G[t, i, j]`` of shape ``(T, cols)``."""
-        if self._column_totals is None:
-            totals = self._g.sum(axis=1)
-            totals.flags.writeable = False
-            self._column_totals = totals
-        return self._column_totals
-
-    def __repr__(self) -> str:
-        return (
-            f"StackedCrossbar({self.trials} trials x "
-            f"{self.rows}x{self.cols})"
-        )

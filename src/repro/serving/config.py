@@ -72,9 +72,9 @@ class ServingConfig:
     ensemble_sigma / ensemble_trials:
         When both are non-zero, each model also carries an ensemble of
         ``ensemble_trials`` variation-perturbed network clones; predict
-        requests then run one :class:`~repro.reram.crossbar.
-        StackedCrossbar` trial-tensor batch and answer with the
-        majority vote across realizations.
+        requests then run one trial-stacked forward pass
+        (:func:`~repro.mapping.stacked.stack_networks`) and answer with
+        the majority vote across realizations.
     """
 
     host: str = "127.0.0.1"

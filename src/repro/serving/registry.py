@@ -5,8 +5,8 @@ through the artifact store — a warm cache makes startup instant, a cold
 one trains and persists first), compiled onto ReSiPE crossbars and
 calibrated once at load time.  Optionally an entry carries a
 *fault-trial ensemble*: ``T`` variation-perturbed clones of the mapped
-network whose predictions are evaluated in a single
-:class:`~repro.reram.crossbar.StackedCrossbar` trial-tensor pass and
+network whose predictions are evaluated in a single trial-stacked
+forward pass (:func:`~repro.mapping.stacked.stack_networks`) and
 reduced by majority vote — robustness-aware serving at nearly the cost
 of a single forward.
 """
@@ -67,8 +67,8 @@ class ModelEntry:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Labels for a ``(rows, ...)`` batch (rows may be zero).
 
-        With an ensemble, every realization is evaluated through the
-        stacked trial kernels and each sample answers with the
+        With an ensemble, every realization is evaluated in one
+        trial-stacked forward pass and each sample answers with the
         majority label (ties break to the smallest label, so the
         reduction is deterministic).
         """

@@ -17,7 +17,7 @@ from repro.circuits.comparator import ComparatorModel
 from repro.config import CircuitParameters
 from repro.core.cog import ColumnOutputGenerator
 from repro.core.mvm import MVMMode, SingleSpikeMVM
-from repro.reram.crossbar import CrossbarArray, StackedCrossbar
+from repro.reram.crossbar import CrossbarArray
 
 PARAMS = CircuitParameters.calibrated()
 
@@ -147,13 +147,15 @@ def test_stacked_evaluate_keeps_inputs(mode):
         array = CrossbarArray(8, 5)
         array.program_normalised(rng.random((8, 5)))
         arrays.append(array)
-    stacked = StackedCrossbar.from_arrays(arrays)
+    stacked = arrays[0].with_conductances(
+        np.stack([a.conductances for a in arrays])
+    )
     g_before = stacked.conductances.copy()
     times = rng.uniform(0.0, PARAMS.t_in_max, (4, 8))
     times[0, 2] = np.nan  # an absent spike
     times_before = times.copy()
-    mvm = SingleSpikeMVM(arrays[0], PARAMS, mode=mode)
-    result = mvm.evaluate_stacked(times, stacked)
+    mvm = SingleSpikeMVM(stacked, PARAMS, mode=mode)
+    result = mvm.evaluate(times)
     assert np.array_equal(times, times_before, equal_nan=True)
     assert np.array_equal(stacked.conductances, g_before)
     for t, array in enumerate(arrays):

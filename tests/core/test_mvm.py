@@ -8,9 +8,10 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.mvm import MVMMode, SingleSpikeMVM
 from repro.core.nonlinearity import exact_mac_output
-from repro.errors import ShapeError
+from repro.errors import ConfigurationError, ShapeError
 from repro.reram.crossbar import CrossbarArray
 from repro.reram.device import DeviceSpec
+from repro.reram.nonideal import IRDropSolver, WireParasitics
 
 
 @pytest.fixture
@@ -114,3 +115,29 @@ class TestInterface:
             * array.column_total_conductance().max()
         )
         assert mvm.linear_full_scale_time(80e-9) == pytest.approx(expected)
+
+
+class TestParasiticThevenin:
+    """IR drop keeps one explicit route: one realization only."""
+
+    @pytest.fixture
+    def thevenin(self, array):
+        return IRDropSolver(array, WireParasitics()).column_thevenin()
+
+    def test_one_realization_accepted(self, array, calibrated_params,
+                                      thevenin, rng):
+        mvm = SingleSpikeMVM(array, calibrated_params,
+                             parasitic_thevenin=thevenin)
+        times = rng.uniform(10e-9, 80e-9, (3, 16))
+        result = mvm.evaluate(times)
+        ideal = SingleSpikeMVM(array, calibrated_params).evaluate(times)
+        assert result.times.shape == (3, 8)
+        assert not np.array_equal(result.v_out, ideal.v_out)
+
+    def test_trial_stack_rejected(self, array, calibrated_params, thevenin):
+        stack = array.with_conductances(
+            np.stack([array.conductances, array.conductances])
+        )
+        with pytest.raises(ConfigurationError):
+            SingleSpikeMVM(stack, calibrated_params,
+                           parasitic_thevenin=thevenin)

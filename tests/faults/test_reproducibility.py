@@ -146,6 +146,23 @@ class TestSeededCampaignReproducibility:
         assert result_c.cached == len(spec.points())
         assert [r for r in result_c.records] == list(result_b.records)
 
+    def test_scheduler_worker_counts_persist_identical_bytes(
+        self, spec, tmp_path, monkeypatch
+    ):
+        """Worker counts 1/2/4 route through the DAG scheduler
+        differently (in-process vs pooled waves) yet persist the same
+        record bytes."""
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "models"))
+        digests = {}
+        for workers in (1, 2, 4):
+            campaign, _ = _run_campaign(
+                spec, tmp_path, f"w{workers}",
+                workers=workers, trial_batch=2,
+            )
+            digests[workers] = _record_digests(campaign)
+        assert digests[1] == digests[2]
+        assert digests[1] == digests[4]
+
     def test_store_layout_is_stable(self, spec, tmp_path, monkeypatch):
         """The on-disk file set (names, not just contents) is deterministic."""
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "models"))

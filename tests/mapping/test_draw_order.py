@@ -199,7 +199,8 @@ def test_one_copy_stack_equals_per_tile_stack(mode, redundancy):
             for row_fast, row_slow in zip(getattr(layer_fast, attr),
                                           getattr(layer_slow, attr)):
                 for a, b in zip(row_fast, row_slow):
-                    for s_a, s_b in zip(a._stacks, b._stacks):
+                    for e_a, e_b in zip(a._engines, b._engines):
+                        s_a, s_b = e_a.array, e_b.array
                         assert np.array_equal(s_a.conductances,
                                               s_b.conductances)
                         assert np.array_equal(
