@@ -26,8 +26,9 @@ Fig. 7 runner.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -137,6 +138,26 @@ class CampaignSpec:
             )
         if not 0 <= self.stuck_on_fraction <= 1:
             raise ConfigurationError("stuck_on_fraction must be in [0, 1]")
+        # The remap settings are checked here, not only where the remap
+        # stage consumes them: that is after the chip has been trained,
+        # inside a worker.
+        if not 0 <= self.spare_fraction <= 1:
+            raise ConfigurationError(
+                f"spare_fraction must be in [0, 1], got {self.spare_fraction!r}"
+            )
+        if not self.probe_threshold > 0:
+            raise ConfigurationError(
+                f"probe_threshold must be positive, got "
+                f"{self.probe_threshold!r}"
+            )
+        if self.probe_vectors < 0:
+            raise ConfigurationError(
+                f"probe_vectors must be >= 0, got {self.probe_vectors!r}"
+            )
+        if self.max_retries < 0:
+            raise ConfigurationError(
+                f"max_retries must be >= 0, got {self.max_retries!r}"
+            )
         if self.backend not in ("resipe", "ideal"):
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; choose resipe or ideal"
@@ -309,8 +330,10 @@ class FaultCampaign:
 
     def _run_local_cell(self, cell) -> None:
         """Parent-side shared cell of the campaign DAG: train + map +
-        calibrate the pristine chip once, warming the model cache that
-        forked workers (and the in-process group cells) reuse."""
+        calibrate the pristine chip once.  The in-process group cells
+        and forked workers use this very chip (see
+        :func:`_campaign_worker_init`); spawned workers rebuild it from
+        the spec, loading the model this cell cached."""
         self._prepare()
         return None
 
@@ -501,8 +524,8 @@ class FaultCampaign:
                 for i in range(0, len(pending), trial_batch)
             ]
             # The grid as a DAG: one parent-side prepare cell (train +
-            # map + calibrate, warming the model cache workers inherit
-            # via fork) feeding one pooled cell per trial group.
+            # map + calibrate the chip that forked workers inherit)
+            # feeding one pooled cell per trial group.
             cells = [CampaignCell(key="prepare", local=True)]
             cells.extend(
                 CampaignCell(
@@ -535,7 +558,8 @@ class FaultCampaign:
                     return  # the prepare cell carries no records
                 merge(cell.payload, group_records)
 
-            scheduler.run(cells, on_result=cell_merge)
+            with _serving_workers(self):
+                scheduler.run(cells, on_result=cell_merge)
             pool_rebuilds = scheduler.pool_rebuilds
 
         records: List[dict] = []
@@ -565,17 +589,43 @@ class FaultCampaign:
 
 
 # ----------------------------------------------------------------------
-# Worker-process plumbing.  The pool initializer rebuilds the campaign
-# from its (picklable) spec once per process; tasks are then just point
-# groups.  Workers never write the store — the parent merges results —
-# so the single-writer invariant of ArtifactStore holds.
+# Worker-process plumbing.  The pool initializer installs a campaign per
+# process; tasks are then just point groups.  Workers never write the
+# store — the parent merges results — so the single-writer invariant of
+# ArtifactStore holds.
 _WORKER_CAMPAIGN: Optional[FaultCampaign] = None
+# The campaign whose scheduler is running, set only while it runs: a
+# worker forked meanwhile finds it here and reuses its prepared chip.
+_RUNNING_CAMPAIGN: Optional[FaultCampaign] = None
+
+
+@contextlib.contextmanager
+def _serving_workers(campaign: FaultCampaign) -> Iterator[None]:
+    """Expose ``campaign`` to the workers of one scheduler run, and
+    drop every module reference to it afterwards."""
+    global _RUNNING_CAMPAIGN, _WORKER_CAMPAIGN
+    _RUNNING_CAMPAIGN = campaign
+    try:
+        yield
+    finally:
+        _RUNNING_CAMPAIGN = None
+        _WORKER_CAMPAIGN = None
 
 
 def _campaign_worker_init(spec: CampaignSpec) -> None:
-    """Build the per-process campaign (process-pool initializer)."""
+    """Install the per-process campaign (process-pool initializer).
+
+    A worker forked while the parent's scheduler runs inherits the
+    parent's prepared chip (trained, mapped, calibrated) and uses it as
+    is; a spawned worker starts without it and prepares the chip from
+    ``spec`` on first use.
+    """
     global _WORKER_CAMPAIGN
-    _WORKER_CAMPAIGN = FaultCampaign(spec)
+    campaign = FaultCampaign(spec)
+    running = _RUNNING_CAMPAIGN
+    if running is not None and running.spec == spec:
+        campaign._prepared = running._prepared
+    _WORKER_CAMPAIGN = campaign
 
 
 def _campaign_worker_install(campaign: FaultCampaign) -> None:

@@ -152,13 +152,16 @@ class CrossbarArray:
 
         ``g`` is taken as is — no copy, no quantisation, no shape check
         — so a Monte-Carlo clone can be a view into a buffer drawn for a
-        whole network; callers own its shape and window clipping.  A
-        ``(T, rows, cols)`` tensor makes the clone a trial stack: ``T``
-        realizations evaluated at once by the analog compute below.
+        whole network; callers own its window clipping.  The clone's
+        dimensions are those of ``g``, so a column slice of the
+        conductances is a narrower array.  A ``(T, rows, cols)`` tensor
+        makes the clone a trial stack: ``T`` realizations evaluated at
+        once by the analog compute below.
         """
         clone = object.__new__(CrossbarArray)
         clone.__dict__.update(self.__dict__)
         clone._g = g
+        clone.rows, clone.cols = g.shape[-2:]
         clone._column_totals = None
         return clone
 

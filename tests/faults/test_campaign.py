@@ -66,6 +66,21 @@ class TestSpec:
         with pytest.raises(ConfigurationError):
             CampaignSpec(stuck_on_fraction=2.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("spare_fraction", 1.5),
+        ("spare_fraction", -0.1),
+        ("probe_threshold", 0.0),
+        ("probe_threshold", -0.05),
+        ("probe_vectors", -1),
+        ("max_retries", -1),
+    ])
+    def test_invalid_remap_settings_rejected(self, field, value):
+        """Regression: these used to construct and fingerprint, then
+        fail as MappingError only after the chip was trained, inside a
+        worker."""
+        with pytest.raises(ConfigurationError):
+            CampaignSpec(**{field: value})
+
 
 class TestRun:
     def test_campaign_runs_resumes_and_recovers(self, spec, tmp_path,
@@ -104,6 +119,58 @@ class TestRun:
         text = render_campaign(again)
         assert "remapped" in text and "mlp-1" in text
         assert "4 trial(s) from store" in text
+
+
+class TestWorkerState:
+    """Pool workers forked during a run reuse the parent's prepared
+    chip; nothing outlives the run."""
+
+    def test_initializer_inherits_prepared_chip_only_during_run(
+        self, spec, tmp_path, monkeypatch
+    ):
+        import dataclasses
+
+        from repro.faults import campaign as campaign_mod
+
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "models"))
+        monkeypatch.setattr(campaign_mod, "_WORKER_CAMPAIGN", None)
+        campaign = FaultCampaign(
+            spec, store=ArtifactStore(str(tmp_path / "records"))
+        )
+        other = dataclasses.replace(spec, seed=1)
+        installed = {}
+        original_run = campaign_mod.CampaignScheduler.run
+
+        def run_then_init(scheduler, *args, **kwargs):
+            results = original_run(scheduler, *args, **kwargs)
+            # What a worker forked at this point would run first.
+            campaign_mod._campaign_worker_init(spec)
+            installed["same"] = campaign_mod._WORKER_CAMPAIGN
+            campaign_mod._campaign_worker_init(other)
+            installed["other"] = campaign_mod._WORKER_CAMPAIGN
+            return results
+
+        monkeypatch.setattr(
+            campaign_mod.CampaignScheduler, "run", run_then_init
+        )
+        result = campaign.run()
+
+        assert campaign._prepared is not None
+        assert installed["same"] is not campaign
+        assert installed["same"]._prepared is campaign._prepared
+        assert installed["other"]._prepared is None
+        for name, value in vars(campaign_mod).items():
+            assert not isinstance(value, FaultCampaign), name
+
+        # Outside a run the initializer rebuilds the chip from the spec.
+        campaign_mod._campaign_worker_init(spec)
+        fresh = campaign_mod._WORKER_CAMPAIGN
+        assert fresh._prepared is None
+        point = spec.points()[-1]
+        (record,) = campaign_mod._campaign_worker((point,))
+        assert fresh._prepared is not None
+        assert fresh._prepared is not campaign._prepared
+        assert record == result.records[-1]
 
 
 class TestCampaignTrace:
