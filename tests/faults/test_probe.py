@@ -93,3 +93,19 @@ class TestProbeLayer:
         )
         with pytest.raises(MappingError):
             HealthProbe().probe_network(network, other)
+
+    def test_golden_response_reused_per_reference(self, network, rng):
+        # The golden response is computed once per reference layer and
+        # replaced, not accumulated, when a new reference takes the
+        # layer's name.
+        probe = HealthProbe()
+        layer = network.stages[0]
+        first = probe.probe_layer(layer, layer)
+        assert probe.probe_layer(layer, layer).golden is first.golden
+        assert not first.golden.flags.writeable
+        recompiled = compile_network(network.model, IdealBackend(),
+                                     clip_percentile=100)
+        fresh = probe.probe_layer(recompiled.stages[0], layer)
+        assert fresh.golden is not first.golden
+        assert np.array_equal(fresh.golden, first.golden)
+        assert len(probe._references) == 1

@@ -126,6 +126,16 @@ class TestStackTiles:
         for t, tile in enumerate(tiles):
             assert out[t].tobytes() == tile.matmul(x).tobytes()
 
+    def test_tiles_of_different_positions_stack(self, rng):
+        # Tiles programmed by one backend with different weights (e.g.
+        # a layer's spare strips) stack like clones of one tile.
+        backend = ReSiPEBackend(mode=MVMMode.LINEAR)
+        tiles = [backend.program(rng.random((4, 1))) for _ in range(3)]
+        x = rng.random((2, 4))
+        stacked = stack_tiles(tiles).matmul(x)
+        for t, tile in enumerate(tiles):
+            assert stacked[t].tobytes() == tile.matmul(x).tobytes()
+
     def test_empty_rejected(self):
         with pytest.raises(MappingError):
             stack_tiles([])
