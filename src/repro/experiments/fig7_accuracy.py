@@ -15,18 +15,18 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..analysis.tables import render_table
 from ..config import CircuitParameters
 from ..core.mvm import MVMMode
-from ..errors import ConfigurationError, ExecutionError
+from ..errors import ConfigurationError
 from ..mapping import PIMExecutor, ReSiPEBackend, compile_network
 from ..runtime import CampaignCell, CampaignScheduler, trial_rng
 from ..telemetry import session as _telemetry
-from .networks import TrainedNetwork, get_benchmark_networks
+from .networks import NETWORK_SPECS, TrainedNetwork, get_benchmark_networks
 
 __all__ = ["Fig7Config", "Fig7Result", "run_fig7", "render_fig7"]
 
@@ -85,6 +85,19 @@ class Fig7Config:
             raise ConfigurationError("need at least 10 evaluation samples")
         if not 0 <= self.stuck_on <= 1 or not 0 <= self.stuck_off <= 1:
             raise ConfigurationError("stuck-at rates must be in [0, 1]")
+        if len(set(self.sigmas)) != len(self.sigmas):
+            raise ConfigurationError(f"duplicate sigmas in {self.sigmas}")
+        if self.networks is not None:
+            if len(set(self.networks)) != len(self.networks):
+                raise ConfigurationError(
+                    f"duplicate networks in {self.networks}"
+                )
+            unknown = [k for k in self.networks if k not in NETWORK_SPECS]
+            if unknown:
+                raise ConfigurationError(
+                    f"unknown networks {unknown}; available: "
+                    f"{list(NETWORK_SPECS)}"
+                )
 
     @property
     def has_faults(self) -> bool:
@@ -198,73 +211,33 @@ def _sigma_column(
     return (float(np.mean(accs)), float(np.min(accs)))
 
 
-def _evaluate_network(
-    net: TrainedNetwork, config: Fig7Config, trial_batch: int = 1,
-) -> NetworkAccuracy:
-    with _telemetry.span("fig7.network", network=net.spec.key):
-        executor, x_eval, y_eval = _prepare_network(net, config)
-        by_sigma: Dict[float, Tuple[float, float]] = {}
-        for sigma in config.sigmas:
-            with _telemetry.span(
-                "fig7.sigma_column",
-                network=net.spec.key, sigma=sigma, trials=config.trials,
-            ):
-                by_sigma[sigma] = _sigma_column(
-                    net, executor, config, sigma, x_eval, y_eval,
-                    trial_batch,
-                )
-    software = float(
-        np.mean(net.model.predict(x_eval, batch_size=128) == y_eval)
-    )
-    return NetworkAccuracy(
-        display=net.spec.display,
-        software_accuracy=software,
-        by_sigma=by_sigma,
-    )
-
-
-# ----------------------------------------------------------------------
-# Worker-process plumbing.  A task is one (network key, σ) column; each
-# worker process lazily prepares (and caches) the executors of the
-# networks it is handed.  Preparation is deterministic and trials are
-# seeded by identity, so the column values are independent of which
-# worker computes them.
-_FIG7_STATE: Optional[Tuple[Fig7Config, int, Dict[str, tuple]]] = None
-
-
-def _fig7_worker_init(config: Fig7Config, trial_batch: int) -> None:
-    """Install the study config in the worker (process-pool initializer)."""
-    global _FIG7_STATE
-    _FIG7_STATE = (config, trial_batch, {})
-
-
-def _fig7_worker(task: Tuple[str, float]) -> Tuple[float, float]:
-    """Evaluate one (network, σ) column inside a worker process."""
-    if _FIG7_STATE is None:
-        raise ExecutionError(
-            "fig7 worker called before its initializer installed a config"
-        )
-    config, trial_batch, cache = _FIG7_STATE
-    key, sigma = task
-    if key not in cache:
+def _fig7_prepare(
+    config: Fig7Config, cell: CampaignCell
+) -> Tuple[TrainedNetwork, PIMExecutor, np.ndarray, np.ndarray]:
+    """The ``prepare/{key}`` cell: train (or load) one benchmark network
+    and map + calibrate its chip, in the parent process."""
+    with _telemetry.span("fig7.network", network=cell.payload):
         net = get_benchmark_networks(
-            keys=[key], n_samples=config.n_samples, seed=config.seed
+            keys=[cell.payload], n_samples=config.n_samples,
+            seed=config.seed,
         )[0]
-        cache[key] = (net,) + _prepare_network(net, config)
-    net, executor, x_eval, y_eval = cache[key]
-    return _sigma_column(
-        net, executor, config, sigma, x_eval, y_eval, trial_batch
-    )
+        return (net,) + _prepare_network(net, config)
 
 
-def _fig7_prepare_local(config: Fig7Config, cell: CampaignCell) -> None:
-    """Parent-side model-build cell of the fig7 DAG: train (or load)
-    one benchmark network, warming the model store every dependent
-    (network, σ) column cell reads."""
-    get_benchmark_networks(
-        keys=[cell.payload], n_samples=config.n_samples, seed=config.seed
-    )
-    return None
+def _fig7_column(
+    config: Fig7Config, trial_batch: int, sigma: float,
+    prepared: Tuple[TrainedNetwork, PIMExecutor, np.ndarray, np.ndarray],
+) -> Tuple[float, float]:
+    """The ``column/{key}/{sigma}`` cell: one σ column of a prepared
+    network (seeded by identity, so any process computes the same)."""
+    net, executor, x_eval, y_eval = prepared
+    with _telemetry.span(
+        "fig7.sigma_column",
+        network=net.spec.key, sigma=sigma, trials=config.trials,
+    ):
+        return _sigma_column(
+            net, executor, config, sigma, x_eval, y_eval, trial_batch
+        )
 
 
 def run_fig7(config: Optional[Fig7Config] = None, workers: int = 1,
@@ -276,9 +249,9 @@ def run_fig7(config: Optional[Fig7Config] = None, workers: int = 1,
     config:
         Study knobs (defaults to the paper's protocol).
     workers:
-        Worker processes; 1 (default) runs in-process.  At ``workers >
-        1`` the study becomes a :class:`~repro.runtime.CampaignScheduler`
-        DAG: one parent-side model-build cell per network feeding its
+        Worker processes; 1 (default) runs in-process.  The study is a
+        :class:`~repro.runtime.CampaignScheduler` DAG at every worker
+        count: one parent-side prepare cell per network feeding its
         (network, σ) column cells on the pool; crashed workers are
         retried on a fresh pool.
     trial_batch:
@@ -304,59 +277,29 @@ def run_fig7(config: Optional[Fig7Config] = None, workers: int = 1,
 
 def _run_fig7_inner(config: Fig7Config, workers: int,
                     trial_batch: int) -> Fig7Result:
-    keys: Optional[Sequence[str]] = config.networks
-    if workers <= 1:
-        networks = get_benchmark_networks(
-            keys=keys, n_samples=config.n_samples, seed=config.seed
-        )
-        rows = [
-            _evaluate_network(net, config, trial_batch)
-            for net in networks
-        ]
-        return Fig7Result(config=config, rows=rows)
-
-    # The sweep as a DAG: a local model-build cell per network (runs in
-    # the parent, warming the model store forked workers inherit) feeds
-    # that network's (network, σ) column cells on the process pool.
-    from .networks import NETWORK_SPECS
-
-    resolved_keys = list(keys) if keys is not None else list(NETWORK_SPECS)
+    keys = list(NETWORK_SPECS if config.networks is None else config.networks)
     cells = []
-    for key in resolved_keys:
+    for key in keys:
         cells.append(
             CampaignCell(key=f"prepare/{key}", payload=key, local=True)
         )
         cells.extend(
             CampaignCell(
-                key=f"column/{key}/{sigma:.6f}",
-                payload=(key, sigma),
+                key=f"column/{key}/{sigma!r}",
+                payload=sigma,
                 deps=(f"prepare/{key}",),
             )
             for sigma in config.sigmas
         )
     scheduler = CampaignScheduler(
-        _fig7_worker,
+        functools.partial(_fig7_column, config, trial_batch),
         workers=workers,
-        initializer=_fig7_worker_init,
-        initargs=(config, trial_batch),
-        local_fn=functools.partial(_fig7_prepare_local, config),
+        local_fn=functools.partial(_fig7_prepare, config),
     )
     results = scheduler.run(cells)
-    by_net: Dict[str, Dict[float, Tuple[float, float]]] = {}
-    for key in resolved_keys:
-        for sigma in config.sigmas:
-            by_net.setdefault(key, {})[sigma] = results[
-                f"column/{key}/{sigma:.6f}"
-            ]
-    # The store is warm (prepare cells trained in-parent), so this
-    # reload only deserialises the models for the software rows.
-    networks = get_benchmark_networks(
-        keys=keys, n_samples=config.n_samples, seed=config.seed
-    )
     rows = []
-    for net in networks:
-        x_eval = net.test.images[: config.eval_samples]
-        y_eval = net.test.labels[: config.eval_samples]
+    for key in keys:
+        net, _executor, x_eval, y_eval = results[f"prepare/{key}"]
         software = float(
             np.mean(net.model.predict(x_eval, batch_size=128) == y_eval)
         )
@@ -364,7 +307,10 @@ def _run_fig7_inner(config: Fig7Config, workers: int,
             NetworkAccuracy(
                 display=net.spec.display,
                 software_accuracy=software,
-                by_sigma=by_net[net.spec.key],
+                by_sigma={
+                    sigma: results[f"column/{key}/{sigma!r}"]
+                    for sigma in config.sigmas
+                },
             )
         )
     return Fig7Result(config=config, rows=rows)

@@ -26,18 +26,19 @@ Fig. 7 runner.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.tables import render_table
 from ..config import CircuitParameters
 from ..core.mvm import MVMMode
-from ..errors import ConfigurationError, ExecutionError
+from ..errors import ConfigurationError
 from ..mapping import (
+    HardwareBackend,
     IdealBackend,
+    MappedNetwork,
     PIMExecutor,
     ReSiPEBackend,
     compile_network,
@@ -197,6 +198,12 @@ class CampaignSpec:
             return None
         return stages[0] if len(stages) == 1 else CompositeInjector(*stages)
 
+    def rng_for(self, rate: float, sigma: float, age: float,
+                trial: int) -> np.random.Generator:
+        """The RNG stream of one grid point (seeded by identity)."""
+        token = f"{self.network}|{rate:.6f}|{sigma:.6f}|{age:.6g}|{trial}"
+        return trial_rng(self.seed, token)
+
     def fingerprint(self) -> str:
         """Content hash binding stored trial records to this spec."""
         return spec_hash(dataclasses.asdict(self))
@@ -263,6 +270,149 @@ class CampaignResult:
         return out
 
 
+class _Chip(NamedTuple):
+    """A campaign's pristine chip: trained, mapped and calibrated."""
+
+    spec: CampaignSpec
+    backend: HardwareBackend
+    mapped: MappedNetwork
+    executor: PIMExecutor
+    probe: HealthProbe
+    x_eval: np.ndarray
+    y_eval: np.ndarray
+
+
+def _prepare_chip(cell: CampaignCell) -> _Chip:
+    """The campaign DAG's ``prepare`` cell: train, map and calibrate the
+    pristine chip of the :class:`CampaignSpec` the cell carries."""
+    from ..experiments.networks import get_benchmark_networks
+
+    spec: CampaignSpec = cell.payload
+    net = get_benchmark_networks(
+        keys=[spec.network], n_samples=spec.n_samples, seed=spec.seed
+    )[0]
+    if spec.backend == "ideal":
+        backend: HardwareBackend = IdealBackend()
+    else:
+        backend = ReSiPEBackend(
+            params=CircuitParameters.calibrated(),
+            mode=MVMMode.EXACT if spec.mode == "exact" else MVMMode.LINEAR,
+        )
+    mapped = compile_network(net.model, backend)
+    calibration = net.train.images[: min(64, len(net.train))]
+    probe = HealthProbe(
+        vectors=spec.probe_vectors,
+        threshold=spec.probe_threshold,
+        seed=spec.seed,
+    )
+    return _Chip(
+        spec, backend, mapped, PIMExecutor(mapped, calibration), probe,
+        net.test.images[: spec.eval_samples],
+        net.test.labels[: spec.eval_samples],
+    )
+
+
+def _run_trial_group(
+    points: Sequence[Tuple[float, float, float, int]], chip: _Chip
+) -> List[dict]:
+    """Records for a batch of grid points, in ``points`` order.
+
+    The worker function of the campaign DAG's group cells; ``chip`` is
+    the ``prepare`` cell's result.  Workers never write the store — the
+    parent merges the records — so the single-writer invariant of
+    :class:`~repro.store.ArtifactStore` holds.
+
+    Trial-stacking: the faulted clones of the whole batch evaluate
+    their unprotected accuracy through one stacked forward pass
+    (:meth:`~repro.mapping.executor.PIMExecutor.accuracy_trials`),
+    which is bit-identical to per-trial evaluation, so records do
+    not depend on the batch size.  RNG streams are created per
+    point from the trial token (never from batch position), and the
+    remap stage — whose spare draws continue each trial's own
+    stream — stays per-trial.
+
+    Each group is one ``campaign.trial_group`` telemetry span (the
+    scheduler cell granularity); on serial runs the spans land on
+    the parent session, one per group.
+    """
+    rate0, sigma0, age0, _trial0 = points[0]
+    with _telemetry.span(
+        "campaign.trial_group",
+        rate=rate0, sigma=sigma0, age=age0, trials=len(points),
+    ):
+        return _run_trial_group_inner(points, chip)
+
+
+def _run_trial_group_inner(
+    points: Sequence[Tuple[float, float, float, int]], chip: _Chip
+) -> List[dict]:
+    spec, backend, mapped, executor, probe, x_eval, y_eval = chip
+    prepared = []
+    for rate, sigma, age, trial in points:
+        rng = spec.rng_for(rate, sigma, age, trial)
+        injector = spec.injector_for(rate, sigma, age)
+        record = {
+            "rate": rate,
+            "sigma": sigma,
+            "age": age,
+            "trial": trial,
+            "injector": injector.describe() if injector else None,
+            "remapped_accuracy": None,
+            "flagged_cols": 0,
+            "spare_cols": 0,
+            "software_cols": 0,
+            "remap_events": [],
+        }
+        prepared.append((record, rng, injector))
+
+    faulted_idx = [
+        i for i, (_r, _g, injector) in enumerate(prepared)
+        if injector is not None
+    ]
+    faulted_execs = [
+        executor.faulted(prepared[i][2], prepared[i][1])
+        for i in faulted_idx
+    ]
+    unprotected = [float(a) for a in executor.accuracy_trials(
+        x_eval, y_eval, [fe.network for fe in faulted_execs]
+    )] if faulted_execs else []
+
+    baseline: Optional[float] = None
+    records: List[dict] = []
+    for i, (record, rng, injector) in enumerate(prepared):
+        if injector is None:
+            if baseline is None:
+                baseline = executor.accuracy(x_eval, y_eval)
+            record["unprotected_accuracy"] = baseline
+            if spec.remap:
+                record["remapped_accuracy"] = baseline
+            records.append(record)
+            continue
+        pos = faulted_idx.index(i)
+        record["unprotected_accuracy"] = unprotected[pos]
+        if spec.remap:
+            result = detect_and_remap(
+                reference=mapped,
+                candidate=faulted_execs[pos].network,
+                backend=backend,
+                probe=probe,
+                injector=injector,
+                rng=rng,
+                spare_fraction=spec.spare_fraction,
+                max_retries=spec.max_retries,
+            )
+            protected = executor._clone_with_network(result.network)
+            record["remapped_accuracy"] = protected.accuracy(
+                x_eval, y_eval
+            )
+            record["flagged_cols"] = result.flagged_cols
+            record["spare_cols"] = result.spare_cols
+            record["software_cols"] = result.software_cols
+            record["remap_events"] = result.events()
+        records.append(record)
+    return records
+
+
 class FaultCampaign:
     """Runs (and resumes) a :class:`CampaignSpec` through the store.
 
@@ -279,7 +429,8 @@ class FaultCampaign:
                  store: Optional[ArtifactStore] = None) -> None:
         self.spec = spec
         self.store = store if store is not None else get_store()
-        self._prepared = None
+        #: the prepared chip, kept across runs of this instance
+        self._prepared: Optional[_Chip] = None
 
     # ------------------------------------------------------------------
     def trial_key(self, rate: float, sigma: float, age: float,
@@ -289,156 +440,6 @@ class FaultCampaign:
             f"faults/{self.spec.fingerprint()}/"
             f"r{rate:.6f}-s{sigma:.6f}-a{age:.6g}-t{trial}.json"
         )
-
-    def _trial_rng(self, rate: float, sigma: float, age: float,
-                   trial: int) -> np.random.Generator:
-        token = (
-            f"{self.spec.network}|{rate:.6f}|{sigma:.6f}|{age:.6g}|{trial}"
-        )
-        return trial_rng(self.spec.seed, token)
-
-    def _prepare(self):
-        """Train + map + calibrate the pristine chip (once, lazily)."""
-        if self._prepared is not None:
-            return self._prepared
-        from ..experiments.networks import get_benchmark_networks
-
-        spec = self.spec
-        net = get_benchmark_networks(
-            keys=[spec.network], n_samples=spec.n_samples, seed=spec.seed
-        )[0]
-        if spec.backend == "ideal":
-            backend = IdealBackend()
-        else:
-            backend = ReSiPEBackend(
-                params=CircuitParameters.calibrated(),
-                mode=MVMMode.EXACT if spec.mode == "exact" else MVMMode.LINEAR,
-            )
-        mapped = compile_network(net.model, backend)
-        calibration = net.train.images[: min(64, len(net.train))]
-        executor = PIMExecutor(mapped, calibration)
-        probe = HealthProbe(
-            vectors=spec.probe_vectors,
-            threshold=spec.probe_threshold,
-            seed=spec.seed,
-        )
-        x_eval = net.test.images[: spec.eval_samples]
-        y_eval = net.test.labels[: spec.eval_samples]
-        self._prepared = (net, backend, mapped, executor, probe,
-                          x_eval, y_eval)
-        return self._prepared
-
-    def _run_local_cell(self, cell) -> None:
-        """Parent-side shared cell of the campaign DAG: train + map +
-        calibrate the pristine chip once.  The in-process group cells
-        and forked workers use this very chip (see
-        :func:`_campaign_worker_init`); spawned workers rebuild it from
-        the spec, loading the model this cell cached."""
-        self._prepare()
-        return None
-
-    # ------------------------------------------------------------------
-    def _run_trial(self, rate: float, sigma: float, age: float,
-                   trial: int) -> dict:
-        """One trial record (serial path; the group path of one)."""
-        return self._run_trial_group([(rate, sigma, age, trial)])[0]
-
-    def _run_trial_group(
-        self, points: Sequence[Tuple[float, float, float, int]]
-    ) -> List[dict]:
-        """Records for a batch of grid points, in ``points`` order.
-
-        Trial-stacking: the faulted clones of the whole batch evaluate
-        their unprotected accuracy through one stacked forward pass
-        (:meth:`~repro.mapping.executor.PIMExecutor.accuracy_trials`),
-        which is bit-identical to per-trial evaluation, so records do
-        not depend on the batch size.  RNG streams are created per
-        point from the trial token (never from batch position), and the
-        remap stage — whose spare draws continue each trial's own
-        stream — stays per-trial.
-
-        Each group is one ``campaign.trial_group`` telemetry span (the
-        scheduler cell granularity); on serial runs the spans land on
-        the parent session, one per group.
-        """
-        rate0, sigma0, age0, _trial0 = points[0]
-        with _telemetry.span(
-            "campaign.trial_group",
-            rate=rate0, sigma=sigma0, age=age0, trials=len(points),
-        ):
-            return self._run_trial_group_inner(points)
-
-    def _run_trial_group_inner(
-        self, points: Sequence[Tuple[float, float, float, int]]
-    ) -> List[dict]:
-        spec = self.spec
-        _net, backend, mapped, executor, probe, x_eval, y_eval = (
-            self._prepare()
-        )
-        prepared = []
-        for rate, sigma, age, trial in points:
-            rng = self._trial_rng(rate, sigma, age, trial)
-            injector = spec.injector_for(rate, sigma, age)
-            record = {
-                "rate": rate,
-                "sigma": sigma,
-                "age": age,
-                "trial": trial,
-                "injector": injector.describe() if injector else None,
-                "remapped_accuracy": None,
-                "flagged_cols": 0,
-                "spare_cols": 0,
-                "software_cols": 0,
-                "remap_events": [],
-            }
-            prepared.append((record, rng, injector))
-
-        faulted_idx = [
-            i for i, (_r, _g, injector) in enumerate(prepared)
-            if injector is not None
-        ]
-        faulted_execs = [
-            executor.faulted(prepared[i][2], prepared[i][1])
-            for i in faulted_idx
-        ]
-        unprotected = [float(a) for a in executor.accuracy_trials(
-            x_eval, y_eval, [fe.network for fe in faulted_execs]
-        )] if faulted_execs else []
-
-        baseline: Optional[float] = None
-        records: List[dict] = []
-        for i, (record, rng, injector) in enumerate(prepared):
-            if injector is None:
-                if baseline is None:
-                    baseline = executor.accuracy(x_eval, y_eval)
-                record["unprotected_accuracy"] = baseline
-                if spec.remap:
-                    record["remapped_accuracy"] = baseline
-                records.append(record)
-                continue
-            pos = faulted_idx.index(i)
-            record["unprotected_accuracy"] = unprotected[pos]
-            if spec.remap:
-                result = detect_and_remap(
-                    reference=mapped,
-                    candidate=faulted_execs[pos].network,
-                    backend=backend,
-                    probe=probe,
-                    injector=injector,
-                    rng=rng,
-                    spare_fraction=spec.spare_fraction,
-                    max_retries=spec.max_retries,
-                )
-                protected = executor._clone_with_network(result.network)
-                record["remapped_accuracy"] = protected.accuracy(
-                    x_eval, y_eval
-                )
-                record["flagged_cols"] = result.flagged_cols
-                record["spare_cols"] = result.spare_cols
-                record["software_cols"] = result.software_cols
-                record["remap_events"] = result.events()
-            records.append(record)
-        return records
 
     def run(self, max_trials: Optional[int] = None,
             verbose: bool = False, workers: int = 1,
@@ -507,15 +508,19 @@ class FaultCampaign:
 
         computed_records: Dict[Tuple[float, float, float, int], dict] = {}
 
-        def merge(group, group_records) -> None:
-            """Parent-side store merge: persist as soon as computed."""
-            for point, record in zip(group, group_records):
+        def merge(cell: CampaignCell, result) -> None:
+            """Parent-side merge: keep the prepared chip; persist trial
+            records as soon as computed."""
+            if cell.local:
+                self._prepared = result
+                return
+            for point, record in zip(cell.payload, result):
                 self.store.put_json(
                     self.trial_key(*point), record, spec_hash=fingerprint
                 )
                 computed_records[point] = record
             if session is not None:
-                session.count("campaign.trials.computed", len(group))
+                session.count("campaign.trials.computed", len(result))
 
         pool_rebuilds = 0
         if pending:
@@ -524,42 +529,24 @@ class FaultCampaign:
                 for i in range(0, len(pending), trial_batch)
             ]
             # The grid as a DAG: one parent-side prepare cell (train +
-            # map + calibrate the chip that forked workers inherit)
-            # feeding one pooled cell per trial group.
-            cells = [CampaignCell(key="prepare", local=True)]
+            # map + calibrate the chip, once per instance) feeding one
+            # pooled cell per trial group.
+            cells = [CampaignCell(key="prepare", payload=self.spec,
+                                  local=True)]
             cells.extend(
                 CampaignCell(
                     key=f"group/{i}", payload=group, deps=("prepare",)
                 )
                 for i, group in enumerate(groups)
             )
-            if workers > 1:
-                scheduler = CampaignScheduler(
-                    _campaign_worker,
-                    workers=workers,
-                    initializer=_campaign_worker_init,
-                    initargs=(self.spec,),
-                    local_fn=self._run_local_cell,
-                )
-            else:
-                # In-process: install *this* campaign (warm _prepared,
-                # caller-chosen store) as the worker state; the instance
-                # is never pickled at workers <= 1.
-                scheduler = CampaignScheduler(
-                    _campaign_worker,
-                    workers=1,
-                    initializer=_campaign_worker_install,
-                    initargs=(self,),
-                    local_fn=self._run_local_cell,
-                )
 
-            def cell_merge(cell: CampaignCell, group_records) -> None:
-                if cell.payload is None:
-                    return  # the prepare cell carries no records
-                merge(cell.payload, group_records)
-
-            with _serving_workers(self):
-                scheduler.run(cells, on_result=cell_merge)
+            scheduler = CampaignScheduler(
+                _run_trial_group, workers=workers, local_fn=_prepare_chip
+            )
+            scheduler.run(
+                cells, on_result=merge,
+                completed=lambda cell: self._prepared if cell.local else None,
+            )
             pool_rebuilds = scheduler.pool_rebuilds
 
         records: List[dict] = []
@@ -586,65 +573,6 @@ class FaultCampaign:
             spec=self.spec, records=records, computed=computed,
             cached=cached, pool_rebuilds=pool_rebuilds,
         )
-
-
-# ----------------------------------------------------------------------
-# Worker-process plumbing.  The pool initializer installs a campaign per
-# process; tasks are then just point groups.  Workers never write the
-# store — the parent merges results — so the single-writer invariant of
-# ArtifactStore holds.
-_WORKER_CAMPAIGN: Optional[FaultCampaign] = None
-# The campaign whose scheduler is running, set only while it runs: a
-# worker forked meanwhile finds it here and reuses its prepared chip.
-_RUNNING_CAMPAIGN: Optional[FaultCampaign] = None
-
-
-@contextlib.contextmanager
-def _serving_workers(campaign: FaultCampaign) -> Iterator[None]:
-    """Expose ``campaign`` to the workers of one scheduler run, and
-    drop every module reference to it afterwards."""
-    global _RUNNING_CAMPAIGN, _WORKER_CAMPAIGN
-    _RUNNING_CAMPAIGN = campaign
-    try:
-        yield
-    finally:
-        _RUNNING_CAMPAIGN = None
-        _WORKER_CAMPAIGN = None
-
-
-def _campaign_worker_init(spec: CampaignSpec) -> None:
-    """Install the per-process campaign (process-pool initializer).
-
-    A worker forked while the parent's scheduler runs inherits the
-    parent's prepared chip (trained, mapped, calibrated) and uses it as
-    is; a spawned worker starts without it and prepares the chip from
-    ``spec`` on first use.
-    """
-    global _WORKER_CAMPAIGN
-    campaign = FaultCampaign(spec)
-    running = _RUNNING_CAMPAIGN
-    if running is not None and running.spec == spec:
-        campaign._prepared = running._prepared
-    _WORKER_CAMPAIGN = campaign
-
-
-def _campaign_worker_install(campaign: FaultCampaign) -> None:
-    """Serial-path initializer: serve groups from an existing campaign
-    instance (its warm ``_prepared`` state and caller-chosen store)
-    instead of rebuilding from the spec."""
-    global _WORKER_CAMPAIGN
-    _WORKER_CAMPAIGN = campaign
-
-
-def _campaign_worker(
-    task: Sequence[Tuple[float, float, float, int]],
-) -> List[dict]:
-    """Evaluate one trial group inside a worker process."""
-    if _WORKER_CAMPAIGN is None:
-        raise ExecutionError(
-            "campaign worker called before its initializer installed a spec"
-        )
-    return _WORKER_CAMPAIGN._run_trial_group(list(task))
 
 
 def render_campaign(result: CampaignResult) -> str:

@@ -6,11 +6,14 @@ independent trial-group cells.  :class:`CampaignScheduler` expresses
 that structure as a DAG of :class:`CampaignCell` nodes and executes it
 in dependency waves on the existing crash-tolerant pool:
 
-* **local cells** run in the parent process (model training, store
-  warm-up — anything that must respect the single-writer invariant of
-  the artifact store or warm a cache workers inherit via ``fork``);
+* **local cells** run in the parent process (model training, chip
+  preparation, store warm-up — anything that must respect the
+  single-writer invariant of the artifact store);
 * **pooled cells** fan out through a :class:`ParallelRunner` per wave,
-  inheriting its chunking, crash retry and order preservation;
+  inheriting its chunking, crash retry and order preservation.  A
+  pooled cell's worker function receives its payload plus the results
+  of its dependency cells (see :meth:`CampaignScheduler.run` for how
+  those reach a worker process);
 * **resume**: an optional ``completed`` probe short-circuits cells
   whose results already exist (e.g. in the artifact store), so an
   interrupted grid re-invocation recomputes nothing finished —
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, ExecutionError
 from ..telemetry import session as _telemetry
@@ -61,17 +64,53 @@ class CampaignCell:
     local: bool = False
 
 
-def _run_keyed(fn: Callable[[Any], Any], task: Tuple[str, Any]) -> Any:
-    """Pooled cell trampoline: unwrap ``(key, payload)`` and call ``fn``.
+# The results of the scheduler whose run() is executing a pooled wave,
+# set only for the duration of that wave.  In-process cells and workers
+# forked meanwhile read their dependency results from it by identity; a
+# spawned worker starts without it and _adopt installs a _Rebuilt.
+_RUNNING: Optional[Mapping[str, Any]] = None
+
+
+class _Rebuilt(dict):
+    """Dependency results of a worker that inherited none (spawn start
+    method): each one is recomputed once per process, on first read, as
+    the parent computed it — a local cell through ``local_fn``."""
+
+    def __init__(self, scheduler: CampaignScheduler,
+                 cells: Dict[str, CampaignCell]) -> None:
+        super().__init__()
+        self.scheduler = scheduler
+        self.cells = cells
+
+    def __missing__(self, key: str) -> Any:
+        value = self[key] = self.scheduler._call(self.cells[key], self)
+        return value
+
+
+def _adopt(scheduler: CampaignScheduler,
+           cells: Dict[str, CampaignCell]) -> None:
+    """Pool initializer: a worker that did not inherit the running
+    scheduler's results (spawn) rebuilds the ones it reads."""
+    global _RUNNING
+    if _RUNNING is None:
+        _RUNNING = _Rebuilt(scheduler, cells)
+
+
+def _run_keyed(fn: Callable[..., Any],
+               task: Tuple[str, Any, Tuple[str, ...]]) -> Any:
+    """Pooled cell trampoline: call ``fn(payload, *dependency results)``.
 
     Module-level (fork/spawn-picklable); the key rides along so the
     parent can attribute completion-order results to cells without
     relying on payload uniqueness.
     """
-    return fn(task[1])
+    _key, payload, deps = task
+    results = _RUNNING
+    assert results is not None, "pooled cell ran outside a scheduler run"
+    return fn(payload, *(results[dep] for dep in deps))
 
 
-def _cell_span_attrs(chunk: Sequence[Tuple[str, Any]]) -> Dict[str, Any]:
+def _cell_span_attrs(chunk: Sequence[Tuple[Any, ...]]) -> Dict[str, Any]:
     """Label a pooled chunk's span with the cell key(s) it carries.
 
     Runs parent-side (the runner's ``span_attrs`` hook); campaign grids
@@ -80,7 +119,7 @@ def _cell_span_attrs(chunk: Sequence[Tuple[str, Any]]) -> Dict[str, Any]:
     """
     if len(chunk) == 1:
         return {"cell": chunk[0][0]}
-    return {"cells": [key for key, _ in chunk]}
+    return {"cells": [task[0] for task in chunk]}
 
 
 class CampaignScheduler:
@@ -89,36 +128,33 @@ class CampaignScheduler:
     Parameters
     ----------
     worker_fn:
-        Module-level (picklable) callable applied to each pooled cell's
-        payload.
-    workers / chunk_size / max_retries / initializer / initargs:
+        Module-level (picklable) callable; a pooled cell computes
+        ``worker_fn(cell.payload, *results of cell.deps)``.
+    workers / chunk_size / max_retries:
         Forwarded to the per-wave :class:`ParallelRunner` (see there);
         ``workers <= 1`` runs every cell in-process.
     local_fn:
         Parent-side callable for ``local=True`` cells, receiving the
-        :class:`CampaignCell`; defaults to ``worker_fn(cell.payload)``.
+        :class:`CampaignCell`; defaults to the worker-function call of
+        a pooled cell.  Must be picklable if a pooled cell depends on a
+        local one and the pool spawns rather than forks its workers.
     """
 
     def __init__(
         self,
-        worker_fn: Callable[[Any], Any],
+        worker_fn: Callable[..., Any],
         workers: int = 1,
         chunk_size: int = 1,
         max_retries: int = 2,
-        initializer: Optional[Callable[..., None]] = None,
-        initargs: Tuple[Any, ...] = (),
         local_fn: Optional[Callable[[CampaignCell], Any]] = None,
     ) -> None:
         self.worker_fn = worker_fn
         self.workers = workers
         self.chunk_size = chunk_size
         self.max_retries = max_retries
-        self.initializer = initializer
-        self.initargs = initargs
         self.local_fn = local_fn
         #: pool rebuilds performed across all waves of the last :meth:`run`
         self.pool_rebuilds = 0
-        self._initialized = False
 
     # ------------------------------------------------------------------
     def _validate(self, cells: Sequence[CampaignCell]) -> None:
@@ -135,15 +171,13 @@ class CampaignScheduler:
                     f"{missing}"
                 )
 
-    def _run_local(self, cell: CampaignCell) -> Any:
-        if self.local_fn is not None:
+    def _call(self, cell: CampaignCell, results: Mapping[str, Any]) -> Any:
+        """Compute one cell in this process from its dependency results."""
+        if cell.local and self.local_fn is not None:
             return self.local_fn(cell)
-        # Local cells reuse the worker function in-process; give it the
-        # same initialized module state a serial ParallelRunner would.
-        if self.initializer is not None and not self._initialized:
-            self.initializer(*self.initargs)
-            self._initialized = True
-        return self.worker_fn(cell.payload)
+        return self.worker_fn(
+            cell.payload, *(results[dep] for dep in cell.deps)
+        )
 
     # ------------------------------------------------------------------
     def run(
@@ -162,14 +196,19 @@ class CampaignScheduler:
         result and the cell is skipped (``on_result`` does not fire for
         it).  Unsatisfiable dependencies (a cycle) raise
         :class:`~repro.errors.ExecutionError`.
+
+        Dependency results reach pooled cells through a module slot
+        that holds this run's result map only while a pooled wave
+        executes.  In-process and in workers forked from it they are
+        the parent's own objects, passed by identity and never pickled;
+        a spawned worker rebuilds each one it reads once per process
+        (``local_fn`` for a local cell).
         """
         cells = list(cells)
         self._validate(cells)
         self.pool_rebuilds = 0
-        self._initialized = False
-        session = _telemetry.active()
-
         results: Dict[str, Any] = {}
+        session = _telemetry.active()
         remaining: List[CampaignCell] = []
         resumed = 0
         for cell in cells:
@@ -201,12 +240,12 @@ class CampaignScheduler:
                 with _telemetry.span(
                     "scheduler.cell", cell=cell.key, local=True
                 ):
-                    result = self._run_local(cell)
+                    result = self._call(cell, results)
                 results[cell.key] = result
                 if on_result is not None:
                     on_result(cell, result)
             if pooled:
-                self._run_pooled_wave(pooled, results, on_result)
+                self._run_pooled_wave(pooled, cells, results, on_result)
             if session is not None:
                 session.count("scheduler.cells.completed", len(ready))
             done = {cell.key for cell in ready}
@@ -218,10 +257,13 @@ class CampaignScheduler:
     def _run_pooled_wave(
         self,
         pooled: List[CampaignCell],
+        cells: List[CampaignCell],
         results: Dict[str, Any],
         on_result: Optional[Callable[[CampaignCell, Any], None]],
     ) -> None:
-        """Fan one wave's independent cells out through the pool."""
+        """Fan one wave's independent cells out through the pool, with
+        ``results`` in the module slot for exactly as long."""
+        global _RUNNING
         by_key = {cell.key: cell for cell in pooled}
 
         def merge(task: Tuple[str, Any], result: Any) -> None:
@@ -235,12 +277,17 @@ class CampaignScheduler:
             workers=self.workers,
             chunk_size=self.chunk_size,
             max_retries=self.max_retries,
-            initializer=self.initializer,
-            initargs=self.initargs,
+            initializer=_adopt,
+            initargs=(self, {cell.key: cell for cell in cells}),
             span_name="scheduler.cell",
             span_attrs=_cell_span_attrs,
         )
-        runner.map(
-            [(cell.key, cell.payload) for cell in pooled], on_result=merge
-        )
+        previous, _RUNNING = _RUNNING, results
+        try:
+            runner.map(
+                [(cell.key, cell.payload, cell.deps) for cell in pooled],
+                on_result=merge,
+            )
+        finally:
+            _RUNNING = previous
         self.pool_rebuilds += runner.pool_rebuilds

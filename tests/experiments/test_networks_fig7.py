@@ -1,5 +1,7 @@
 """Benchmark networks and the Fig. 7 accuracy study (reduced scale)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -108,3 +110,37 @@ class TestFig7:
             Fig7Config(trials=0)
         with pytest.raises(ConfigurationError):
             Fig7Config(eval_samples=5)
+
+
+class TestFig7Pool:
+    """The Fig. 7 DAG gives the same rows at any worker count, and only
+    the parent loads networks: forked workers use its prepared chips."""
+
+    @pytest.mark.parametrize("faults", [
+        {},
+        {"stuck_on": 0.01, "stuck_off": 0.02},
+    ], ids=["variation", "stuck-at"])
+    def test_rows_identical_at_workers_1_and_2(
+        self, tmp_path, monkeypatch, faults
+    ):
+        from repro.experiments import fig7_accuracy
+
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "models"))
+        log = tmp_path / "loads"
+        original = fig7_accuracy.get_benchmark_networks
+
+        def logged(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fig7_accuracy, "get_benchmark_networks", logged)
+        config = Fig7Config(
+            sigmas=(0.0, 0.1, 0.2), trials=2, networks=("mlp-1",),
+            n_samples=300, eval_samples=50, **faults,
+        )
+        serial = run_fig7(config, workers=1)
+        pooled = run_fig7(config, workers=2)
+        assert pooled.rows == serial.rows
+        with open(log) as fh:
+            assert [int(pid) for pid in fh] == [os.getpid()] * 2

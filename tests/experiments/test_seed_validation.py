@@ -28,3 +28,15 @@ def test_zero_and_positive_seeds_accepted():
     assert Fig7Config(seed=0).seed == 0
     assert CampaignSpec(seed=123).seed == 123
     assert ServingConfig(seed=5).seed == 5
+
+
+@pytest.mark.parametrize("config, match", [
+    (dict(sigmas=(0.1, 0.1)), "duplicate sigmas"),
+    (dict(networks=("mlp-1", "mlp-1")), "duplicate networks"),
+    (dict(networks=("mlp-1", "vgg-99")), "unknown networks"),
+])
+def test_fig7_config_rejects_grid_collisions(config, match):
+    """Regression: these used to run at workers=1 and fail with
+    'duplicate cell keys' (or deep in the sweep) at workers=2."""
+    with pytest.raises(ConfigurationError, match=match):
+        Fig7Config(**config)

@@ -1,5 +1,9 @@
 """Resumable Monte-Carlo fault campaigns."""
 
+import json
+import multiprocessing
+import os
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -9,6 +13,11 @@ from repro.faults import (
     render_campaign,
 )
 from repro.store import ArtifactStore
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="inheriting the prepared chip needs the fork start method",
+)
 
 
 @pytest.fixture
@@ -122,55 +131,100 @@ class TestRun:
 
 
 class TestWorkerState:
-    """Pool workers forked during a run reuse the parent's prepared
-    chip; nothing outlives the run."""
+    """Group cells reuse the parent's prepared chip — by identity
+    in-process and in forked workers — a worker that inherited nothing
+    rebuilds it from the spec, and nothing outlives the run."""
 
-    def test_initializer_inherits_prepared_chip_only_during_run(
+    @staticmethod
+    def _log_loads(monkeypatch, log):
+        """Record the pid of every model load (visible across forks)."""
+        from repro.experiments import networks
+
+        original = networks.get_benchmark_networks
+
+        def logged(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(networks, "get_benchmark_networks", logged)
+
+    @staticmethod
+    def _sorted(records):
+        return sorted(json.dumps(r, sort_keys=True) for r in records)
+
+    def test_in_process_groups_get_the_prepared_chip_by_identity(
         self, spec, tmp_path, monkeypatch
     ):
-        import dataclasses
-
         from repro.faults import campaign as campaign_mod
 
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "models"))
-        monkeypatch.setattr(campaign_mod, "_WORKER_CAMPAIGN", None)
+        seen = []
+        original = campaign_mod._run_trial_group
+
+        def spy(points, chip):
+            seen.append(chip)
+            return original(points, chip)
+
+        monkeypatch.setattr(campaign_mod, "_run_trial_group", spy)
         campaign = FaultCampaign(
             spec, store=ArtifactStore(str(tmp_path / "records"))
         )
-        other = dataclasses.replace(spec, seed=1)
-        installed = {}
-        original_run = campaign_mod.CampaignScheduler.run
+        campaign.run(max_trials=2)
+        assert len(seen) == 2
+        assert all(chip is campaign._prepared for chip in seen)
+        # A second run of the instance prepares nothing again.
+        campaign.run()
+        assert len(seen) == 4
+        assert all(chip is seen[0] for chip in seen)
 
-        def run_then_init(scheduler, *args, **kwargs):
-            results = original_run(scheduler, *args, **kwargs)
-            # What a worker forked at this point would run first.
-            campaign_mod._campaign_worker_init(spec)
-            installed["same"] = campaign_mod._WORKER_CAMPAIGN
-            campaign_mod._campaign_worker_init(other)
-            installed["other"] = campaign_mod._WORKER_CAMPAIGN
-            return results
+    @needs_fork
+    def test_forked_workers_inherit_and_nothing_outlives_the_run(
+        self, spec, tmp_path, monkeypatch
+    ):
+        from repro.faults import campaign as campaign_mod
+        from repro.runtime import scheduler as scheduler_mod
 
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "models"))
+        log = tmp_path / "loads"
+        self._log_loads(monkeypatch, log)
+        serial = FaultCampaign(
+            spec, store=ArtifactStore(str(tmp_path / "serial"))
+        ).run(workers=1)
+        pooled = FaultCampaign(
+            spec, store=ArtifactStore(str(tmp_path / "pooled"))
+        ).run(workers=2)
+        assert pooled.computed == len(spec.points())
+        assert self._sorted(pooled.records) == self._sorted(serial.records)
+        # One load per campaign, both in this process: no worker
+        # re-prepared the chip.
+        with open(log) as fh:
+            assert [int(pid) for pid in fh] == [os.getpid()] * 2
+        assert scheduler_mod._RUNNING is None
+        for module in (campaign_mod, scheduler_mod):
+            for name, value in vars(module).items():
+                assert not isinstance(
+                    value, (FaultCampaign, campaign_mod._Chip)
+                ), f"{module.__name__}.{name}"
+
+    def test_spawned_workers_rebuild_the_same_records(
+        self, spec, tmp_path, monkeypatch
+    ):
+        from repro.runtime import runner as runner_mod
+
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "models"))
+        serial = FaultCampaign(
+            spec, store=ArtifactStore(str(tmp_path / "serial"))
+        ).run(workers=1)
         monkeypatch.setattr(
-            campaign_mod.CampaignScheduler, "run", run_then_init
+            runner_mod, "_pool_context",
+            lambda: multiprocessing.get_context("spawn"),
         )
-        result = campaign.run()
-
-        assert campaign._prepared is not None
-        assert installed["same"] is not campaign
-        assert installed["same"]._prepared is campaign._prepared
-        assert installed["other"]._prepared is None
-        for name, value in vars(campaign_mod).items():
-            assert not isinstance(value, FaultCampaign), name
-
-        # Outside a run the initializer rebuilds the chip from the spec.
-        campaign_mod._campaign_worker_init(spec)
-        fresh = campaign_mod._WORKER_CAMPAIGN
-        assert fresh._prepared is None
-        point = spec.points()[-1]
-        (record,) = campaign_mod._campaign_worker((point,))
-        assert fresh._prepared is not None
-        assert fresh._prepared is not campaign._prepared
-        assert record == result.records[-1]
+        spawned = FaultCampaign(
+            spec, store=ArtifactStore(str(tmp_path / "spawned"))
+        ).run(workers=2, trial_batch=2)
+        assert spawned.computed == len(spec.points())
+        assert self._sorted(spawned.records) == self._sorted(serial.records)
 
 
 class TestCampaignTrace:

@@ -4,34 +4,64 @@ The scheduler turns a campaign grid into a DAG of cells (shared
 prepare work feeding independent trial groups).  These tests pin the
 contracts the campaign layer builds on: dependency waves, parent-side
 local cells, the ``completed`` resume probe (cell-granularity resume,
-no recomputation), and byte-identical results at any worker count.
+no recomputation), byte-identical results at any worker count, and how
+a pooled cell receives the results of the cells it depends on.
 """
+
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ExecutionError
 from repro.runtime import CampaignCell, CampaignScheduler, trial_rng
+from repro.runtime import runner as runner_mod
+from repro.runtime import scheduler as scheduler_mod
 
 _ORDER = []
-_STATE = {"offset": 0}
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="inheriting the parent's state needs the fork start method",
+)
 
 
-def _double(payload):
+def _double(payload, *_deps):
     return payload * 2
 
 
-def _record(payload):
+def _record(payload, *_deps):
     _ORDER.append(payload)
     return payload
 
 
-def _plus_offset(payload):
-    return payload + _STATE["offset"]
+def _plus_deps(payload, *deps):
+    return payload + sum(deps)
 
 
-def _install_offset(offset):
-    _STATE["offset"] = offset
+def _echo_dep(_payload, dep):
+    return dep
+
+
+def _fail(_payload, *_deps):
+    raise ValueError("cell failed")
+
+
+def _build_state(cell):
+    """A local cell's state, logging which process built it."""
+    with open(cell.payload, "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    return {"built_in": os.getpid()}
+
+
+def _inspect_state(_payload, state):
+    return os.getpid(), state["built_in"], id(state)
+
+
+def _builders(log):
+    with open(log) as fh:
+        return [int(line) for line in fh]
 
 
 def _seeded_draw(payload):
@@ -110,15 +140,14 @@ class TestExecution:
         assert _ORDER == ["prepare"]
         assert results["g0"] == 6 and results["g1"] == 8
 
-    def test_local_default_uses_worker_fn_with_initializer(self):
-        scheduler = CampaignScheduler(
-            _plus_offset, initializer=_install_offset, initargs=(100,),
-        )
+    def test_local_default_uses_worker_fn_with_dependencies(self):
+        scheduler = CampaignScheduler(_plus_deps)
         results = scheduler.run([
             CampaignCell("a", payload=1, local=True),
-            CampaignCell("b", payload=2, local=True),
+            CampaignCell("b", payload=2, deps=("a",), local=True),
+            CampaignCell("c", payload=100, deps=("a", "b")),
         ])
-        assert results == {"a": 101, "b": 102}
+        assert results == {"a": 1, "b": 3, "c": 104}
 
     def test_on_result_fires_for_computed_cells(self):
         seen = []
@@ -227,3 +256,91 @@ class TestTelemetry:
         scheduler = CampaignScheduler(_double, workers=2)
         scheduler.run([CampaignCell("a", payload=1)])
         assert scheduler.pool_rebuilds == 0
+
+
+class TestDependencyState:
+    """A pooled cell receives its dependencies' results: the parent's
+    own objects in-process and in forked workers, rebuilt through
+    ``local_fn`` in a worker that inherited nothing."""
+
+    def _cells(self, log, pooled=2):
+        return [CampaignCell("prepare", payload=str(log), local=True)] + [
+            CampaignCell(f"use/{i}", payload=i, deps=("prepare",))
+            for i in range(pooled)
+        ]
+
+    def test_in_process_dependency_arrives_by_identity(self, tmp_path):
+        scheduler = CampaignScheduler(
+            _echo_dep, workers=1, local_fn=_build_state
+        )
+        results = scheduler.run(self._cells(tmp_path / "log"))
+        assert results["use/0"] is results["prepare"]
+        assert results["use/1"] is results["prepare"]
+        assert _builders(tmp_path / "log") == [os.getpid()]
+
+    @needs_fork
+    def test_forked_worker_inherits_without_rebuilding(self, tmp_path):
+        log = tmp_path / "log"
+        # A closure: under fork the local_fn is never pickled.
+        scheduler = CampaignScheduler(
+            _inspect_state, workers=2,
+            local_fn=lambda cell: _build_state(cell),
+        )
+        results = scheduler.run(self._cells(log, pooled=4))
+        state = results["prepare"]
+        for i in range(4):
+            pid, built_in, address = results[f"use/{i}"]
+            assert pid != os.getpid()
+            assert built_in == os.getpid()
+            # The same object at the same address: inherited, not a copy.
+            assert address == id(state)
+        assert _builders(log) == [os.getpid()]
+
+    def test_spawned_worker_rebuilds_once_through_local_fn(
+        self, tmp_path, monkeypatch
+    ):
+        log = tmp_path / "log"
+        monkeypatch.setattr(
+            runner_mod, "_pool_context",
+            lambda: multiprocessing.get_context("spawn"),
+        )
+        scheduler = CampaignScheduler(
+            _inspect_state, workers=2, local_fn=_build_state
+        )
+        results = scheduler.run(self._cells(log, pooled=4))
+        worker_pids = set()
+        for i in range(4):
+            pid, built_in, _address = results[f"use/{i}"]
+            assert pid != os.getpid()
+            assert built_in == pid
+            worker_pids.add(pid)
+        builders = _builders(log)
+        assert builders[0] == os.getpid()
+        # One rebuild per worker process, not per cell.
+        assert sorted(builders[1:]) == sorted(worker_pids)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_slot_is_empty_after_run(self, tmp_path, workers):
+        scheduler = CampaignScheduler(
+            _echo_dep, workers=workers, local_fn=_build_state
+        )
+        scheduler.run(self._cells(tmp_path / "log"))
+        assert scheduler_mod._RUNNING is None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_slot_is_empty_after_a_cell_raises(self, tmp_path, workers):
+        scheduler = CampaignScheduler(
+            _fail, workers=workers, local_fn=_build_state
+        )
+        with pytest.raises(ValueError, match="cell failed"):
+            scheduler.run(self._cells(tmp_path / "log"))
+        assert scheduler_mod._RUNNING is None
+
+    def test_slot_is_empty_after_a_local_cell_raises(self):
+        def explode(cell):
+            raise ValueError("cell failed")
+
+        scheduler = CampaignScheduler(_double, local_fn=explode)
+        with pytest.raises(ValueError, match="cell failed"):
+            scheduler.run([CampaignCell("prepare", local=True)])
+        assert scheduler_mod._RUNNING is None

@@ -15,7 +15,7 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-def _traced_double(payload):
+def _traced_double(payload, *_deps):
     with telemetry.span("work.step", payload=payload):
         return payload * 2
 
