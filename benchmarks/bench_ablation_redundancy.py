@@ -13,6 +13,7 @@ import pytest
 from repro.analysis.tables import render_table
 from repro.core.mvm import MVMMode
 from repro.experiments.networks import get_benchmark_networks
+from repro.faults import VariationInjector
 from repro.mapping import PIMExecutor, ReSiPEBackend, compile_network
 
 
@@ -27,7 +28,9 @@ def _measure(redundancies, sigma=0.20, trials=2):
         executor = PIMExecutor(mapped, net.train.images[:48])
         clean = executor.accuracy(x, y)
         noisy = float(np.mean([
-            executor.perturbed(np.random.default_rng(seed), sigma).accuracy(x, y)
+            executor.faulted(
+                VariationInjector(sigma), np.random.default_rng(seed)
+            ).accuracy(x, y)
             for seed in range(trials)
         ]))
         rows.append([f"R={r}", clean, noisy, clean - noisy])

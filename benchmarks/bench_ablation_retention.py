@@ -12,8 +12,8 @@ import pytest
 from repro.analysis.tables import render_table
 from repro.core.mvm import MVMMode
 from repro.experiments.networks import get_benchmark_networks
+from repro.faults import DriftInjector
 from repro.mapping import PIMExecutor, ReSiPEBackend, compile_network
-from repro.reram.retention import RetentionModel
 
 _TIMES = (60.0, 3600.0, 86_400.0, 2.6e6, 3.2e7, 1e8)
 _LABELS = ("1 minute", "1 hour", "1 day", "1 month", "1 year", "~3 years")
@@ -24,12 +24,12 @@ def _measure():
     mapped = compile_network(net.model, ReSiPEBackend(mode=MVMMode.EXACT))
     executor = PIMExecutor(mapped, net.train.images[:48])
     x, y = net.test.images[:100], net.test.labels[:100]
-    retention = RetentionModel(nu=0.02, nu_sigma=0.3)
 
     fresh = executor.accuracy(x, y)
     rows = [["fresh", fresh]]
     for label, elapsed in zip(_LABELS, _TIMES):
-        aged = executor.aged(retention, elapsed, np.random.default_rng(0))
+        drift = DriftInjector(elapsed, nu=0.02, nu_sigma=0.3)
+        aged = executor.faulted(drift, np.random.default_rng(0))
         rows.append([label, aged.accuracy(x, y)])
     return rows
 

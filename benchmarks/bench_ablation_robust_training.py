@@ -14,6 +14,7 @@ from repro.analysis.tables import render_table
 from repro.core.mvm import MVMMode
 from repro.datasets import make_cifar_like, train_test_split
 from repro.experiments.networks import NETWORK_SPECS
+from repro.faults import VariationInjector
 from repro.mapping import PIMExecutor, ReSiPEBackend, compile_network
 from repro.nn import Adam, Trainer
 from repro.nn.robust import VariationAwareTrainer
@@ -25,7 +26,9 @@ def _hardware_accuracy(model, train_images, x, y, sigma, trials=3):
     if sigma == 0:
         return executor.accuracy(x, y)
     return float(np.mean([
-        executor.perturbed(np.random.default_rng(seed), sigma).accuracy(x, y)
+        executor.faulted(
+            VariationInjector(sigma), np.random.default_rng(seed)
+        ).accuracy(x, y)
         for seed in range(trials)
     ]))
 

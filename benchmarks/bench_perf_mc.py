@@ -67,6 +67,7 @@ def run_benchmark(network="mlp-1", sigma=0.10, trials=16, n_samples=600,
         run_fig7,
     )
     from repro.experiments.networks import get_benchmark_networks
+    from repro.faults import VariationInjector
     from repro.runtime import trial_rng
 
     config = Fig7Config(
@@ -81,8 +82,9 @@ def run_benchmark(network="mlp-1", sigma=0.10, trials=16, n_samples=600,
     # Phase 1 — evaluate: accuracy of T pre-drawn realizations.  The
     # same clones feed both paths, so this isolates the trial stacking.
     clones = [
-        executor.perturbed(
-            trial_rng(seed, f"{net.spec.key}|{sigma:.4f}|{t}"), sigma
+        executor.faulted(
+            VariationInjector(sigma),
+            trial_rng(seed, f"{net.spec.key}|{sigma:.4f}|{t}"),
         )
         for t in range(trials)
     ]

@@ -20,13 +20,13 @@ from repro.core.timing_noise import analyse_timing_noise
 from repro.circuits.noise import ktc_noise_voltage, minimum_capacitance_for_bits
 from repro.experiments.networks import get_benchmark_networks
 from repro.experiments.scaling import render_scaling, run_scaling
+from repro.faults import DriftInjector
 from repro.mapping import (
     PIMExecutor,
     ReSiPEBackend,
     compile_network,
     plan_deployment,
 )
-from repro.reram.retention import RetentionModel
 from repro.units import si_format
 
 
@@ -68,11 +68,11 @@ def main() -> None:
           f"{si_format(minimum_capacitance_for_bits(params.v_s, 8), 'F')}")
 
     executor = PIMExecutor(mapped, net.train.images[:48])
-    retention = RetentionModel(nu=0.02, nu_sigma=0.3)
     x, y = net.test.images[:150], net.test.labels[:150]
     print("\nshelf life (retention drift, nu = 2 %/decade):")
     for label, elapsed in (("1 day", 86_400.0), ("1 year", 3.15e7)):
-        aged = executor.aged(retention, elapsed, np.random.default_rng(0))
+        drift = DriftInjector(elapsed, nu=0.02, nu_sigma=0.3)
+        aged = executor.faulted(drift, np.random.default_rng(0))
         print(f"  after {label:>7}: accuracy {aged.accuracy(x, y):.3f}")
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core.mvm import MVMMode
 from repro.datasets import make_mnist_like, train_test_split
+from repro.faults import VariationInjector
 from repro.mapping import PIMExecutor, ReSiPEBackend, compile_network
 from repro.nn import Adam, Dense, ReLU, Sequential, Trainer, evaluate_accuracy
 
@@ -53,9 +54,9 @@ def main() -> None:
     print("\ndevice variation sweep (3 Monte-Carlo trials each):")
     for sigma in (0.05, 0.10, 0.20):
         accs = [
-            executor.perturbed(np.random.default_rng(seed), sigma).accuracy(
-                test.images, test.labels
-            )
+            executor.faulted(
+                VariationInjector(sigma), np.random.default_rng(seed)
+            ).accuracy(test.images, test.labels)
             for seed in range(3)
         ]
         print(f"  sigma = {sigma:4.0%}: accuracy {np.mean(accs):.3f} "

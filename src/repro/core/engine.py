@@ -8,8 +8,9 @@ value-out MVM operator:
 
 Internally: encode ``x`` into spike times, run the (exact or linear)
 timing MVM, decode output times with the engine's calibrated output
-scale.  The engine also supports Monte-Carlo process-variation clones —
-the Fig. 7 protocol — and optional column-saturation compensation.
+scale.  The engine also supports Monte-Carlo clones under any fault
+injector — process variation is the Fig. 7 protocol — and optional
+column-saturation compensation.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from ..config import CircuitParameters
 from ..errors import MappingError, ShapeError
 from ..reram.crossbar import CrossbarArray
 from ..reram.device import DeviceSpec
-from ..reram.variation import StuckAtFaultModel, VariationModel
 from .encoding import SingleSpikeCodec
 from .mvm import MVMMode, SingleSpikeMVM
 from .nonlinearity import compensate_column_saturation
@@ -104,41 +104,14 @@ class ReSiPEEngine:
         array.program_normalised(w)
         return cls(array, params, **kwargs)
 
-    def perturbed(
-        self,
-        rng: np.random.Generator,
-        sigma: float,
-        distribution: str = "normal",
-        faults: Optional[StuckAtFaultModel] = None,
-    ) -> "ReSiPEEngine":
-        """A Monte-Carlo clone with process variation applied to the
-        programmed conductances (the Fig. 7 protocol).  The original
-        engine is untouched."""
-        variation = VariationModel(sigma=sigma, distribution=distribution)
-        return self.with_array(
-            self.array.perturb(rng, variation=variation, faults=faults)
-        )
-
     def faulted(
         self, injector, rng: np.random.Generator
     ) -> "ReSiPEEngine":
         """A clone whose conductances are disturbed by ``injector`` (a
-        :class:`~repro.faults.injectors.FaultInjector` — stuck-at,
-        drift, wear, or any composition).  The original engine is
-        untouched, mirroring :meth:`perturbed`."""
-        return self.with_array(self.array.injected(injector, rng))
-
-    def aged(
-        self,
-        retention,
-        elapsed: float,
-        rng: Optional[np.random.Generator] = None,
-    ) -> "ReSiPEEngine":
-        """A clone whose conductances have drifted for ``elapsed``
-        seconds under ``retention`` (a
-        :class:`repro.reram.retention.RetentionModel`).  The original
+        :class:`~repro.faults.injectors.FaultInjector` — variation,
+        stuck-at, drift, wear, or any composition).  The original
         engine is untouched."""
-        return self.with_array(retention.age_array(self.array, elapsed, rng))
+        return self.with_array(self.array.injected(injector, rng))
 
     def with_array(self, array: CrossbarArray) -> "ReSiPEEngine":
         """This engine operating another realization of its crossbar.

@@ -147,15 +147,19 @@ class Fig7Result:
 
 
 def _make_injector(config: Fig7Config, sigma: float):
-    """Stuck-at (+ optional variation) composite for one σ column."""
+    """The disturbance of one σ column: variation, then the stuck-at
+    defects when ``config`` has any (null at σ = 0 without faults)."""
     from ..faults import CompositeInjector, StuckAtInjector, VariationInjector
 
+    variation = VariationInjector(sigma=sigma)
+    if not config.has_faults:
+        return variation
     stuck = StuckAtInjector(
         stuck_on_rate=config.stuck_on, stuck_off_rate=config.stuck_off
     )
     if sigma == 0:
         return stuck
-    return CompositeInjector(VariationInjector(sigma=sigma), stuck)
+    return CompositeInjector(variation, stuck)
 
 
 def _prepare_network(
@@ -188,25 +192,21 @@ def _sigma_column(
     evaluated ``trial_batch`` at a time as one trial stack —
     bit-identical to one trial at a time at any batch size.
     """
-    if sigma == 0 and not config.has_faults:
+    injector = _make_injector(config, sigma)
+    if injector.is_null:
         acc = executor.accuracy(x_eval, y_eval)
         return (acc, acc)
     accs: List[float] = []
     for start in range(0, config.trials, trial_batch):
         stop = min(start + trial_batch, config.trials)
-        trial_execs = []
-        for trial in range(start, stop):
-            token = f"{net.spec.key}|{sigma:.4f}|{trial}"
-            rng = trial_rng(config.seed, token)
-            if config.has_faults:
-                trial_execs.append(
-                    executor.faulted(_make_injector(config, sigma), rng)
-                )
-            else:
-                trial_execs.append(executor.perturbed(rng, sigma))
-        stacked = executor.accuracy_trials(
-            x_eval, y_eval, [e.network for e in trial_execs]
-        )
+        clones = [
+            executor.faulted(
+                injector,
+                trial_rng(config.seed, f"{net.spec.key}|{sigma:.4f}|{trial}"),
+            ).network
+            for trial in range(start, stop)
+        ]
+        stacked = executor.accuracy_trials(x_eval, y_eval, clones)
         accs.extend(float(a) for a in stacked)
     return (float(np.mean(accs)), float(np.min(accs)))
 

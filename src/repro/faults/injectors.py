@@ -12,10 +12,20 @@ from the mapped-network pipeline.  This module unifies them behind one
     g_faulty = injector.apply(g, rng, spec)
 
 — so any mechanism (or any composition of mechanisms) can be driven
-through :meth:`CrossbarArray.injected`, :meth:`ReSiPEEngine.faulted`,
-:meth:`ProgrammedTile.faulted`, :meth:`MappedNetwork.faulted` and
-:meth:`PIMExecutor.faulted`, and swept by the
+through :meth:`PIMExecutor.faulted`, :meth:`MappedNetwork.faulted` and
+:meth:`ProgrammedTile.faulted` (all of which draw through
+:func:`~repro.mapping.backends.faulted_tiles`), or
+:meth:`ReSiPEEngine.faulted` and :meth:`CrossbarArray.injected` for a
+single crossbar, and swept by the Fig. 7 study and the
 :class:`~repro.faults.campaign.FaultCampaign` Monte-Carlo runner.
+There is no other way to disturb a chip: process variation is
+:class:`VariationInjector` and retention ageing :class:`DriftInjector`.
+
+An *elementwise* injector (:attr:`FaultInjector.elementwise`) draws
+one value per cell in row-major order, so one ``apply`` over the
+concatenated cells of many tiles consumes the same stream, and gives
+the same bytes, as one ``apply`` per tile; the mapped-network clone
+relies on it to draw a whole chip in one call.
 
 Every injector serialises itself via :meth:`FaultInjector.describe`;
 the campaign hashes that description into its artifact keys so a trial
@@ -54,6 +64,13 @@ __all__ = [
 class FaultInjector(abc.ABC):
     """One conductance-disturbing mechanism (or a composition)."""
 
+    #: True when :meth:`apply` acts cell by cell and draws one value
+    #: per cell in row-major order (or nothing), whatever the array's
+    #: shape — a fact about the class, declared by the built-in
+    #: mechanisms.  Compositions and injectors that look at rows or
+    #: columns are not elementwise.
+    elementwise: bool = False
+
     @abc.abstractmethod
     def apply(
         self,
@@ -73,7 +90,12 @@ class FaultInjector(abc.ABC):
 
     @property
     def is_null(self) -> bool:
-        """True when this injector can never disturb anything."""
+        """True when this injector can never disturb anything.
+
+        A null injector draws nothing from ``rng`` and returns its
+        input unchanged (conductances inside the device window), so a
+        caller may skip it without moving any random stream.
+        """
         return False
 
     def __repr__(self) -> str:
@@ -86,6 +108,8 @@ class StuckAtInjector(FaultInjector):
     Wraps :class:`~repro.reram.variation.StuckAtFaultModel`; on the
     normalised unit window stuck-on pins to 1.0 and stuck-off to 0.0.
     """
+
+    elementwise = True
 
     def __init__(self, stuck_on_rate: float = 0.0,
                  stuck_off_rate: float = 0.0) -> None:
@@ -114,6 +138,8 @@ class StuckAtInjector(FaultInjector):
 class VariationInjector(FaultInjector):
     """Multiplicative device-to-device conductance variation (Fig. 7)."""
 
+    elementwise = True
+
     def __init__(self, sigma: float, distribution: str = "normal") -> None:
         self.model = VariationModel(sigma=sigma, distribution=distribution)
 
@@ -137,6 +163,8 @@ class VariationInjector(FaultInjector):
 class DriftInjector(FaultInjector):
     """Retention drift after ``elapsed`` seconds on the shelf."""
 
+    elementwise = True
+
     def __init__(
         self,
         elapsed: float,
@@ -151,7 +179,10 @@ class DriftInjector(FaultInjector):
 
     def apply(self, conductances, rng, spec=None):
         g = np.asarray(conductances, dtype=float)
-        factor = self.model.decay_factor(self.elapsed, shape=g.shape, rng=rng)
+        # A null drift leaves the factor at 1 and must draw nothing.
+        factor = self.model.decay_factor(
+            self.elapsed, shape=g.shape, rng=None if self.is_null else rng
+        )
         out = g * factor
         if spec is not None:
             return np.clip(out, spec.g_min, spec.g_max)
@@ -177,6 +208,8 @@ class WearInjector(FaultInjector):
     The conductances are clipped into the degraded window — the
     write-verify loop can no longer reach the original extremes.
     """
+
+    elementwise = True
 
     def __init__(
         self,

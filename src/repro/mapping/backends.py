@@ -2,8 +2,10 @@
 
 A backend programs weight tiles in ``[0, 1]`` and returns
 :class:`ProgrammedTile` objects that compute ``x @ w`` through the
-hardware's signal chain.  Monte-Carlo process variation (the Fig. 7
-protocol) happens at tile level via :meth:`ProgrammedTile.perturbed`.
+hardware's signal chain.  Every Monte-Carlo clone — process variation
+(the Fig. 7 protocol), stuck-at faults, drift, wear — is drawn by one
+routine, :func:`faulted_tiles`, from a
+:class:`~repro.faults.injectors.FaultInjector`.
 
 Backends provided:
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import List, Optional, Sequence, cast
+from typing import List, Optional, Sequence, Tuple, cast
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from ..reram.device import DeviceSpec
 
 __all__ = ["HardwareBackend", "ProgrammedTile", "IdealBackend",
            "ReSiPEBackend", "DesignBackend", "stack_tiles",
-           "ConductancePool"]
+           "ConductancePool", "faulted_tiles"]
 
 
 class ProgrammedTile(abc.ABC):
@@ -42,29 +44,12 @@ class ProgrammedTile(abc.ABC):
         """Compute ``x @ w`` through the hardware (``x`` in ``[0, 1]``)."""
 
     @abc.abstractmethod
-    def perturbed(self, rng: np.random.Generator, sigma: float) -> "ProgrammedTile":
-        """A Monte-Carlo clone with conductance variation ``sigma``."""
-
-    def aged(
-        self, retention, elapsed: float, rng: "np.random.Generator | None" = None
-    ) -> "ProgrammedTile":
-        """A clone after ``elapsed`` seconds of retention drift.
-
-        Tiles whose backend has no device state (ideal / baseline
-        functional models) return themselves.
-        """
-        return self
-
     def faulted(
         self, injector, rng: np.random.Generator
     ) -> "ProgrammedTile":
         """A clone disturbed by a
-        :class:`~repro.faults.injectors.FaultInjector`.
-
-        Tiles without device state (baseline functional models) return
-        themselves — they model quantisation, not cell placement.
-        """
-        return self
+        :class:`~repro.faults.injectors.FaultInjector` (variation,
+        stuck-at, drift, wear, or any composition)."""
 
     def column(self, index: int) -> "Optional[ProgrammedTile]":
         """The width-1 tile programmed like column ``index`` of this
@@ -96,11 +81,6 @@ class _IdealTile(ProgrammedTile):
 
     def matmul(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self._w
-
-    def perturbed(self, rng: np.random.Generator, sigma: float) -> "_IdealTile":
-        if sigma == 0:
-            return self
-        return _IdealTile(self._w * rng.normal(1.0, sigma, self._w.shape))
 
     def faulted(self, injector, rng: np.random.Generator) -> "_IdealTile":
         # spec=None: the injector operates on the normalised unit window.
@@ -174,15 +154,20 @@ class _ReSiPETile(ProgrammedTile):
     @property
     def _engines(self) -> list:
         if self._built is None:
-            source, cells, slots = self._draw
-            lead = cells.shape[:-1]
             self._built = [
-                e.with_array(e.array.with_conductances(
-                    cells[..., a:b].reshape(lead + shape)
-                ))
-                for e, (a, b, shape) in zip(source._engines, slots)
+                e.with_array(e.array.with_conductances(g))
+                for e, g in zip(self._draw[0]._engines, self._conductances())
             ]
         return self._built
+
+    def _conductances(self) -> list:
+        """Per redundancy slot, the conductances: a lazy clone's views of
+        its cells, read without building its engines."""
+        if self._built is not None:
+            return [e.array.conductances for e in self._built]
+        _, cells, slots = self._draw
+        lead = cells.shape[:-1]
+        return [cells[..., a:b].reshape(lead + shape) for a, b, shape in slots]
 
     @classmethod
     def stacked(cls, tiles: Sequence["_ReSiPETile"]) -> "_ReSiPETile":
@@ -195,17 +180,18 @@ class _ReSiPETile(ProgrammedTile):
         compensation come from ``tiles[0]``'s engines unchecked, so the
         tiles must agree on them, as tiles of one backend do.
         """
-        redundancies = {len(t._engines) for t in tiles}
+        arrays = [t._conductances() for t in tiles]
+        redundancies = {len(slots) for slots in arrays}
         if len(redundancies) > 1:
             raise MappingError(
                 f"tiles disagree on redundancy: {sorted(redundancies)}"
             )
-        shapes = {e.array.shape for t in tiles for e in t._engines}
+        shapes = {g.shape for slots in arrays for g in slots}
         if len(shapes) > 1:
             raise ShapeError(f"tiles disagree on shape: {sorted(shapes)}")
         return cls([
             e.with_array(e.array.with_conductances(
-                np.stack([t._engines[r].array.conductances for t in tiles])
+                np.stack([slots[r] for slots in arrays])
             ))
             for r, e in enumerate(tiles[0]._engines)
         ])
@@ -222,22 +208,11 @@ class _ReSiPETile(ProgrammedTile):
             )
         return _remove_offset(y, x, self._offset_ratio)
 
-    def perturbed(self, rng: np.random.Generator, sigma: float) -> "_ReSiPETile":
-        if sigma == 0:
-            return self
-        return _ReSiPETile([e.perturbed(rng, sigma) for e in self._engines])
-
-    def aged(
-        self, retention, elapsed: float, rng: "np.random.Generator | None" = None
-    ) -> "_ReSiPETile":
-        if elapsed == 0:
-            return self
-        return _ReSiPETile(
-            [e.aged(retention, elapsed, rng) for e in self._engines]
+    def faulted(self, injector, rng: np.random.Generator) -> ProgrammedTile:
+        (tile,), _ = faulted_tiles(
+            [self], injector, rng, pool=ConductancePool([self])
         )
-
-    def faulted(self, injector, rng: np.random.Generator) -> "_ReSiPETile":
-        return _ReSiPETile([e.faulted(injector, rng) for e in self._engines])
+        return tile
 
     def column(self, index: int) -> "_ReSiPETile":
         return _ReSiPETile([
@@ -316,9 +291,9 @@ class _DesignTile(ProgrammedTile):
     def matmul(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self._design.mvm_values(x, self._w), dtype=float)
 
-    def perturbed(self, rng: np.random.Generator, sigma: float) -> "_DesignTile":
+    def faulted(self, injector, rng: np.random.Generator) -> "_DesignTile":
         # Baseline functional models capture quantisation, not device
-        # placement; variation studies target ReSiPE (Fig. 7).
+        # placement; variation and fault studies target ReSiPE (Fig. 7).
         return self
 
 
@@ -366,7 +341,7 @@ class _TrialLoopTile(ProgrammedTile):
             )
         return np.stack([tile.matmul(x) for tile in self._tiles])
 
-    def perturbed(self, rng: np.random.Generator, sigma: float) -> "ProgrammedTile":
+    def faulted(self, injector, rng: np.random.Generator) -> ProgrammedTile:
         raise MappingError("a trial stack cannot be re-drawn")
 
 
@@ -399,14 +374,13 @@ def stack_tiles(tiles) -> ProgrammedTile:
 
 class ConductancePool:
     """Every programmed conductance of a sequence of ReSiPE tiles in one
-    flat buffer :attr:`cells`, in draw order: tile → redundancy slot →
-    row-major cell.
+    flat read-only buffer :attr:`cells`, in draw order: tile →
+    redundancy slot → row-major cell.
 
-    The network-level Monte-Carlo clone perturbs the whole buffer with
-    one draw and hands each tile a view of the result
-    (:meth:`realize`); ``T`` such draws, stacked once into ``(T, N)``,
-    realize into trial stacks that are views as well.
-    Build one with :meth:`of`.
+    A clone draws one realization of the whole buffer (:meth:`draw`)
+    and hands each tile a view of it (:meth:`realize`); ``T`` such
+    draws, stacked once into ``(T, N)``, realize into trial stacks that
+    are views as well.  Build one with :meth:`of`.
     """
 
     def __init__(self, tiles: Sequence["_ReSiPETile"]) -> None:
@@ -414,25 +388,25 @@ class ConductancePool:
         self.spec = self.tiles[0]._engines[0].array.spec
         # Per tile, per redundancy slot: (start, stop, (rows, cols)).
         self._slots: List[tuple] = []
+        chunks = []
         start = 0
         for tile in self.tiles:
             slots = []
             for engine in tile._engines:
-                shape = engine.array.shape
-                slots.append((start, start + shape[0] * shape[1], shape))
-                start = slots[-1][1]
+                g = engine.array.conductances
+                if g.ndim != 2:
+                    raise MappingError("a trial stack cannot be re-drawn")
+                slots.append((start, start + g.size, g.shape))
+                start += g.size
+                chunks.append(g.ravel())
             self._slots.append(tuple(slots))
-        self.cells = np.concatenate([
-            engine.array.conductances.ravel()
-            for tile in self.tiles for engine in tile._engines
-        ])
+        self.cells = np.concatenate(chunks)
         self.cells.flags.writeable = False
 
     @classmethod
     def of(cls, tiles: Sequence[ProgrammedTile]) -> Optional["ConductancePool"]:
         """The pool of ``tiles``, or ``None`` unless every tile is a
-        ReSiPE tile on one device spec.  Ideal, design and bit-sliced
-        tiles keep their own :meth:`ProgrammedTile.perturbed`."""
+        ReSiPE tile on one device spec."""
         if not tiles or any(type(t) is not _ReSiPETile for t in tiles):
             return None
         resipe = cast(Sequence[_ReSiPETile], tiles)
@@ -440,6 +414,35 @@ class ConductancePool:
         if any(e.array.spec != spec for t in resipe for e in t._engines):
             return None
         return cls(resipe)
+
+    def draw(self, injector, rng: np.random.Generator) -> np.ndarray:
+        """One read-only realization of :attr:`cells` under ``injector``.
+
+        It consumes the stream of one ``injector.apply`` per tile and
+        redundancy slot, in draw order, and gives the same bytes.  An
+        elementwise injector draws one value per cell in row-major
+        order, so a single ``apply`` over the whole buffer is that
+        stream; any other injector (a composite interleaves its stages
+        per slot, a 2-D one sees rows and columns) is applied slot by
+        slot into one preallocated buffer.
+        """
+        if injector.elementwise:
+            cells = np.asarray(
+                injector.apply(self.cells, rng, spec=self.spec), dtype=float
+            )
+            _check_shape(cells, self.cells.shape)
+        else:
+            cells = np.empty_like(self.cells)
+            for slots in self._slots:
+                for start, stop, shape in slots:
+                    g = np.asarray(injector.apply(
+                        self.cells[start:stop].reshape(shape), rng,
+                        spec=self.spec,
+                    ), dtype=float)
+                    _check_shape(g, shape)
+                    cells[start:stop] = g.ravel()
+        cells.flags.writeable = False
+        return cells
 
     def realize(self, cells: np.ndarray) -> List[ProgrammedTile]:
         """Clones of the pool's tiles whose arrays are views of one
@@ -449,3 +452,39 @@ class ConductancePool:
             _ReSiPETile.drawn(tile, cells, slots)
             for tile, slots in zip(self.tiles, self._slots)
         ]
+
+
+def _check_shape(g: np.ndarray, shape: tuple) -> None:
+    if g.shape != tuple(shape):
+        raise ShapeError(
+            f"injector changed array shape to {g.shape}, expected {shape}"
+        )
+
+
+def faulted_tiles(
+    tiles: Sequence[ProgrammedTile],
+    injector,
+    rng: np.random.Generator,
+    pool: Optional[ConductancePool] = None,
+) -> Tuple[List[ProgrammedTile], Optional[Tuple[ConductancePool, np.ndarray]]]:
+    """Clones of ``tiles`` disturbed by ``injector`` (a
+    :class:`~repro.faults.injectors.FaultInjector`) — the one routine
+    that draws a Monte-Carlo or fault clone.
+
+    Returns ``(clones, drawn)``.  When the tiles form a
+    :class:`ConductancePool` (``pool``, or one built from ``tiles``),
+    the clones are lazy views of one realization ``cells``
+    (:meth:`ConductancePool.draw`) and ``drawn`` is ``(pool, cells)``.
+    Tiles without a pool (ideal, design, bit-sliced) take their own
+    :meth:`ProgrammedTile.faulted` in order and ``drawn`` is ``None``.
+    A null injector draws nothing and returns the pristine tiles.
+    """
+    tiles = list(tiles)
+    if injector.is_null:
+        return tiles, None
+    if pool is None:
+        pool = ConductancePool.of(tiles)
+    if pool is None:
+        return [tile.faulted(injector, rng) for tile in tiles], None
+    cells = pool.draw(injector, rng)
+    return pool.realize(cells), (pool, cells)

@@ -26,7 +26,7 @@ from ..config import CircuitParameters
 from ..core.mvm import MVMMode
 from ..errors import MappingError
 from ..reram.device import DeviceSpec
-from .backends import HardwareBackend, ProgrammedTile, ReSiPEBackend
+from .backends import HardwareBackend, ProgrammedTile, ReSiPEBackend, faulted_tiles
 
 __all__ = ["slice_weights", "BitSlicingBackend"]
 
@@ -86,12 +86,10 @@ class _BitSlicedTile(ProgrammedTile):
         ]
         return np.sum(partials, axis=0)
 
-    def perturbed(self, rng: np.random.Generator, sigma: float) -> "_BitSlicedTile":
-        if sigma == 0:
-            return self
-        return _BitSlicedTile(
-            [t.perturbed(rng, sigma) for t in self._tiles], list(self._scales)
-        )
+    def faulted(self, injector, rng: np.random.Generator) -> "_BitSlicedTile":
+        # The slices draw in slice order, MSB first.
+        tiles, _ = faulted_tiles(self._tiles, injector, rng)
+        return _BitSlicedTile(tiles, list(self._scales))
 
 
 @dataclasses.dataclass

@@ -19,8 +19,7 @@ from ..errors import MappingError
 from ..nn.conv import Conv2D
 from ..nn.layers import Dense, Layer
 from ..nn.model import Sequential
-from ..reram.variation import VariationModel
-from .backends import ConductancePool, HardwareBackend, ProgrammedTile
+from .backends import ConductancePool, HardwareBackend, ProgrammedTile, faulted_tiles
 from .tiling import TileGrid, tile_matrix
 from .weight_mapping import DifferentialWeights, map_signed_weights
 
@@ -103,27 +102,13 @@ class MappedLayer:
     def _with_tiles(self, clone_tile) -> "MappedLayer":
         """A clone whose every tile is ``clone_tile(tile)``; all other
         attributes (grids, gain, calibration) are shared — the single
-        place tile-level Monte-Carlo clones are built, so new clone
-        kinds cannot silently drop attributes."""
+        place a layer's clones are built, so no clone can silently drop
+        an attribute."""
         return dataclasses.replace(
             self,
             pos_tiles=[[clone_tile(t) for t in row] for row in self.pos_tiles],
             neg_tiles=[[clone_tile(t) for t in row] for row in self.neg_tiles],
         )
-
-    def perturbed(self, rng: np.random.Generator, sigma: float) -> "MappedLayer":
-        """A Monte-Carlo clone with per-tile conductance variation."""
-        return self._with_tiles(lambda t: t.perturbed(rng, sigma))
-
-    def aged(self, retention, elapsed: float, rng=None) -> "MappedLayer":
-        """A clone after ``elapsed`` seconds of retention drift."""
-        return self._with_tiles(lambda t: t.aged(retention, elapsed, rng))
-
-    def faulted(self, injector, rng: np.random.Generator) -> "MappedLayer":
-        """A clone disturbed by a
-        :class:`~repro.faults.injectors.FaultInjector` (stuck-at,
-        drift, wear, or any composition)."""
-        return self._with_tiles(lambda t: t.faulted(injector, rng))
 
 
 @dataclasses.dataclass
@@ -138,9 +123,8 @@ class MappedNetwork:
     a trial stack built by :func:`~repro.mapping.stacked.stack_networks`,
     whose forward passes carry a leading trial axis.
 
-    ``drawn`` is ``(pool, cells)`` when the network is one bulk
-    Monte-Carlo realization ``cells`` of ``pool`` (see
-    :meth:`perturbed`), which lets
+    ``drawn`` is ``(pool, cells)`` when the network is one realization
+    ``cells`` of ``pool`` (see :meth:`faulted`), which lets
     :func:`~repro.mapping.stacked.stack_networks` stack realizations
     with one copy.  Like every clone, treat such a network as a
     snapshot: ``dataclasses.replace`` drops ``drawn``.
@@ -175,62 +159,39 @@ class MappedNetwork:
             for tile in row
         ]
 
-    def _conductance_pool(self) -> Optional[ConductancePool]:
-        """The pool of this network's tiles (cached while they stay the
-        same objects), or ``None`` when the bulk draw does not apply."""
+    def faulted(self, injector, rng: np.random.Generator) -> "MappedNetwork":
+        """A clone of every mapped layer disturbed by ``injector`` (a
+        :class:`~repro.faults.injectors.FaultInjector`: variation,
+        stuck-at, drift, wear, or any composition).
+
+        Every tile is drawn by
+        :func:`~repro.mapping.backends.faulted_tiles` in draw order:
+        stage → positive/negative grid → row-major tile → redundancy
+        slot.  ReSiPE tiles draw one read-only buffer and become views
+        of it, and the clone records it in :attr:`drawn`; a null
+        injector draws nothing and shares the pristine tiles.  A
+        remapped network (a repaired chip) and a trial stack are
+        terminal and raise :class:`~repro.errors.MappingError`.
+        """
+        if self.trials != 1:
+            raise MappingError("a trial stack cannot be re-drawn")
         if not all(isinstance(s, MappedLayer) for s in self.mapped_layers()):
-            return None  # remapped layers are terminal
+            raise MappingError("remapped layers cannot be re-drawn")
         tiles = tuple(self.tiles())
         if self._pool is None or self._pool.tiles != tiles:
             self._pool = ConductancePool.of(tiles)
-        return self._pool
-
-    def _with_stages(self, clone_stage) -> "MappedNetwork":
-        """A clone whose every mapped stage is ``clone_stage(stage)``
-        (software stages stay ``None``)."""
-        return MappedNetwork(
+        clones, drawn = faulted_tiles(tiles, injector, rng, self._pool)
+        realized = iter(clones)
+        clone = MappedNetwork(
             model=self.model,
             stages=[
-                clone_stage(s) if s is not None else None
+                s._with_tiles(lambda _: next(realized))
+                if s is not None else None
                 for s in self.stages
             ],
         )
-
-    def perturbed(self, rng: np.random.Generator, sigma: float) -> "MappedNetwork":
-        """Monte-Carlo clone of every mapped layer.
-
-        Draw-order contract: one clone's variation is a single
-        ``rng.normal(1, σ, N)`` over all ``N`` programmed cells, in the
-        order stage → positive/negative grid → row-major tile →
-        redundancy slot → row-major cell, multiplied and clipped to the
-        device window once.  That is the very stream the per-tile chain
-        (:meth:`MappedLayer.perturbed`) consumes, so both give the same
-        bytes; each clone tile's arrays are views of the one buffer.
-        σ = 0 draws nothing and shares the pristine tiles.  Tiles
-        without a conductance matrix (ideal, design, bit-sliced) keep
-        the per-tile chain.
-        """
-        pool = self._conductance_pool() if sigma != 0 else None
-        if pool is None:
-            return self._with_stages(lambda s: s.perturbed(rng, sigma))
-        cells = VariationModel(sigma=sigma).perturb(
-            pool.cells, rng, spec=pool.spec
-        )
-        cells.flags.writeable = False
-        realized = iter(pool.realize(cells))
-        clone = self._with_stages(
-            lambda s: s._with_tiles(lambda _: next(realized))
-        )
-        clone.drawn = (pool, cells)
+        clone.drawn = drawn
         return clone
-
-    def aged(self, retention, elapsed: float, rng=None) -> "MappedNetwork":
-        """Clone of every mapped layer after retention drift."""
-        return self._with_stages(lambda s: s.aged(retention, elapsed, rng))
-
-    def faulted(self, injector, rng: np.random.Generator) -> "MappedNetwork":
-        """Clone of every mapped layer under ``injector``'s defects."""
-        return self._with_stages(lambda s: s.faulted(injector, rng))
 
 
 def _program_grid(

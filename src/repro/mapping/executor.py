@@ -243,7 +243,7 @@ class PIMExecutor:
         """Forward all per-trial network clones in one stacked pass.
 
         ``networks`` are Monte-Carlo clones of this executor's network
-        (``perturbed``/``aged``/``faulted`` realizations); the result is
+        (:meth:`faulted` realizations); the result is
         ``(T, batch, out)`` with slice ``t`` bit-identical to running
         ``networks[t]`` alone under this executor's calibration.
         """
@@ -299,9 +299,8 @@ class PIMExecutor:
         """An executor bound to ``network`` that inherits this one's
         calibration (scales, margin) without re-running it.
 
-        The single place clones are assembled — every Monte-Carlo
-        flavour (:meth:`perturbed`, :meth:`aged`, :meth:`faulted`, the
-        remap path) goes through here, so a new executor attribute
+        The single place clones are assembled — :meth:`faulted` and the
+        remap path go through here, so a new executor attribute
         cannot be silently dropped from some clone kinds.
         """
         clone = object.__new__(PIMExecutor)
@@ -311,28 +310,16 @@ class PIMExecutor:
         clone.mvm_launches = {}
         return clone
 
-    def perturbed(self, rng: np.random.Generator, sigma: float) -> "PIMExecutor":
-        """Clone with conductance variation ``sigma`` on every tile.
-
-        Calibration (scales, gains) is inherited from the pristine
-        executor — the Fig. 7 protocol: calibrate once, then devices
-        drift.
-        """
-        return self._clone_with_network(self.network.perturbed(rng, sigma))
-
-    def aged(self, retention, elapsed: float, rng=None) -> "PIMExecutor":
-        """Clone whose tiles have drifted for ``elapsed`` seconds under
-        ``retention`` (calibration inherited — the chip was calibrated
-        when fresh, then left on the shelf)."""
-        return self._clone_with_network(self.network.aged(retention, elapsed, rng))
-
     def faulted(self, injector, rng: np.random.Generator) -> "PIMExecutor":
-        """Clone whose tiles carry ``injector``'s defects (stuck-at
-        cells, drift, wear, or any
-        :class:`~repro.faults.injectors.CompositeInjector` of them).
+        """Clone whose tiles carry ``injector``'s disturbance
+        (variation, stuck-at cells, drift, wear, or any
+        :class:`~repro.faults.injectors.CompositeInjector` of them; see
+        :meth:`MappedNetwork.faulted`).
 
-        Calibration is inherited — the chip was calibrated healthy,
-        then the defects struck.  Pair with
+        Calibration is inherited — the Fig. 7 protocol: the chip was
+        calibrated healthy, then devices varied, drifted or failed.
+        A retention-aged chip is ``faulted(DriftInjector(elapsed), rng)``.
+        Pair with
         :func:`repro.mapping.remap.detect_and_remap` to probe the
         faulted network and recover through spare columns.
         """

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..errors import MappingError
 from ..telemetry import session as _telemetry
-from .backends import HardwareBackend, ProgrammedTile, stack_tiles
+from .backends import ConductancePool, HardwareBackend, ProgrammedTile, faulted_tiles, stack_tiles
 from .compiler import MappedLayer, MappedNetwork
 
 __all__ = [
@@ -130,7 +130,9 @@ class PatchedLayer:
     Duck-types :class:`~repro.mapping.compiler.MappedLayer` for the
     executor: geometry, naming and tile accounting delegate to the
     wrapped (faulted) base layer; flagged columns are overridden by
-    spare-strip hardware or the digital fallback at matmul time.
+    spare-strip hardware or the digital fallback at matmul time.  A
+    remapped network is terminal: it models a repaired chip, not a
+    substrate for further draws (:meth:`MappedNetwork.faulted` raises).
     """
 
     def __init__(
@@ -223,17 +225,6 @@ class PatchedLayer:
             soft = self.gain * (x_aug @ self._w_soft)
             out[..., list(self.software_cols)] = soft
         return out
-
-    # Remapped layers are terminal: they model a repaired chip, not a
-    # substrate for further Monte-Carlo draws.
-    def perturbed(self, rng, sigma):
-        raise MappingError("remapped layers cannot be re-perturbed")
-
-    def aged(self, retention, elapsed, rng=None):
-        raise MappingError("remapped layers cannot be re-aged")
-
-    def faulted(self, injector, rng):
-        raise MappingError("remapped layers cannot be re-faulted")
 
 
 @dataclasses.dataclass
@@ -416,17 +407,18 @@ def detect_and_remap(
 
         strips: List[_SpareStrip] = []
         for column in spare_bound:
-            # Sliced once; each attempt faults a fresh copy.
+            # Sliced once; each attempt faults a fresh copy, drawing
+            # per band tile, positive bands first, then negative.
             pristine = _pristine_strip(ref_stage, column, backend)
+            pool = ConductancePool.of(pristine.tiles)
             accepted = None
             attempts = 0
             for _ in range(max_retries + 1):
                 attempts += 1
-                # Spare draw order: one fault draw per band tile,
-                # positive bands first, then negative.
                 strip = pristine if injector is None else pristine._replace(
-                    tiles=tuple(t.faulted(injector, rng)
-                                for t in pristine.tiles)
+                    tiles=tuple(
+                        faulted_tiles(pristine.tiles, injector, rng, pool)[0]
+                    )
                 )
                 observed = _strip_output(strip, x_aug, factor)
                 deviation = float(

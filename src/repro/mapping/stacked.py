@@ -70,12 +70,12 @@ def stack_networks(networks: Sequence[MappedNetwork]) -> MappedNetwork:
     stack.
 
     The clones must share a model and stage structure — which they do by
-    construction, being ``perturbed``/``aged``/``faulted`` copies of one
+    construction, being :meth:`~MappedNetwork.faulted` copies of one
     compiled network.  Remapped networks are terminal (a repaired chip,
-    not a Monte-Carlo realization) and are rejected.  Bulk-drawn clones
-    of one network (:meth:`MappedNetwork.perturbed`) stack with a single
-    copy: their ``T`` cell buffers become one ``(T, N)`` array whose
-    column ranges are every tile's trial stack.
+    not a Monte-Carlo realization) and are rejected.  Clones drawn from
+    one network's conductance pool stack with a single copy: their
+    ``T`` cell buffers become one ``(T, N)`` array whose column ranges
+    are every tile's trial stack.
     """
     networks = list(networks)
     if not networks:

@@ -16,7 +16,7 @@ Models the storage/compute fabric the paper builds on:
 """
 
 from .device import DeviceSpec, ReRAMDevice
-from .variation import VariationModel, StuckAtFaultModel, apply_variation
+from .variation import VariationModel, StuckAtFaultModel
 from .cell import OneTransistorOneReRAM
 from .crossbar import CrossbarArray
 from .nonideal import WireParasitics, IRDropSolver
@@ -29,7 +29,6 @@ __all__ = [
     "ReRAMDevice",
     "VariationModel",
     "StuckAtFaultModel",
-    "apply_variation",
     "OneTransistorOneReRAM",
     "CrossbarArray",
     "WireParasitics",

@@ -29,7 +29,6 @@ import numpy as np
 
 from ..errors import DeviceError, ShapeError
 from .device import DeviceSpec
-from .variation import StuckAtFaultModel, VariationModel
 
 __all__ = ["CrossbarArray"]
 
@@ -111,31 +110,13 @@ class CrossbarArray:
         the conductance window)."""
         self.program(np.asarray(self.spec.normalised_to_conductance(weights)))
 
-    def perturb(
-        self,
-        rng: np.random.Generator,
-        variation: Optional[VariationModel] = None,
-        faults: Optional[StuckAtFaultModel] = None,
-    ) -> "CrossbarArray":
-        """A *copy* of this array with variation/faults applied.
-
-        The original stays pristine so one programming can be evaluated
-        under many Monte-Carlo draws (the Fig. 7 protocol).
-        """
-        g = self._g
-        if variation is not None:
-            g = variation.perturb(g, rng, spec=self.spec)
-        if faults is not None:
-            g = faults.inject(g, rng, self.spec)
-        return self.with_conductances(np.asarray(g, dtype=float))
-
     def injected(self, injector, rng: np.random.Generator) -> "CrossbarArray":
         """A *copy* of this array disturbed by a
         :class:`~repro.faults.injectors.FaultInjector` (any object with
-        ``apply(g, rng, spec)``).  Generalises :meth:`perturb` to the
-        full defect landscape — stuck-at cells, retention drift,
-        endurance wear, or any composition — while the original stays
-        pristine for Monte-Carlo re-draws.
+        ``apply(g, rng, spec)``): process variation, stuck-at cells,
+        retention drift, endurance wear, or any composition.  The
+        original stays pristine, so one programming can be evaluated
+        under many Monte-Carlo draws (the Fig. 7 protocol).
         """
         g = np.asarray(injector.apply(self._g, rng, spec=self.spec),
                        dtype=float)

@@ -19,8 +19,6 @@ from typing import Optional
 import numpy as np
 
 from ..errors import DeviceError
-from .crossbar import CrossbarArray
-from .device import DeviceSpec
 
 __all__ = ["RetentionModel"]
 
@@ -73,21 +71,6 @@ class RetentionModel:
         else:
             nu = np.asarray(self.nu)
         return np.clip(1.0 - nu * decades, 0.0, 1.0)
-
-    def age_array(
-        self,
-        array: CrossbarArray,
-        elapsed: float,
-        rng: Optional[np.random.Generator] = None,
-    ) -> CrossbarArray:
-        """A *copy* of ``array`` after ``elapsed`` seconds of retention
-        drift (original untouched, mirroring :meth:`CrossbarArray.perturb`)."""
-        g = np.asarray(array.conductances, dtype=float)
-        factor = self.decay_factor(elapsed, shape=g.shape, rng=rng)
-        aged = np.clip(g * factor, array.spec.g_min, array.spec.g_max)
-        clone = CrossbarArray(array.rows, array.cols, array.spec, array.r_access)
-        clone._g = aged
-        return clone
 
     def time_to_drift(self, fraction: float) -> float:
         """Seconds until the *mean* device has lost ``fraction`` of its

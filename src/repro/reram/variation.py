@@ -24,7 +24,7 @@ import numpy as np
 from ..errors import DeviceError
 from .device import DeviceSpec
 
-__all__ = ["VariationModel", "StuckAtFaultModel", "apply_variation"]
+__all__ = ["VariationModel", "StuckAtFaultModel"]
 
 _DISTRIBUTIONS = ("normal", "lognormal")
 
@@ -139,18 +139,3 @@ class StuckAtFaultModel:
         """Total defective-cell probability."""
         return self.stuck_on_rate + self.stuck_off_rate
 
-
-def apply_variation(
-    conductances: np.ndarray,
-    sigma: float,
-    rng: np.random.Generator,
-    spec: Optional[DeviceSpec] = None,
-    distribution: str = "normal",
-) -> np.ndarray:
-    """One-call convenience wrapper around :class:`VariationModel`.
-
-    This is the exact operation of the paper's Fig. 7 study: perturb the
-    programmed conductance matrix with relative std ``sigma``.
-    """
-    model = VariationModel(sigma=sigma, distribution=distribution)
-    return model.perturb(np.asarray(conductances, dtype=float), rng, spec=spec)

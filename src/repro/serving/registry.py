@@ -200,13 +200,16 @@ class ModelRegistry:
             executor = PIMExecutor(mapped, calibration)
             ensemble = None
             if ensemble_trials > 0 and ensemble_sigma > 0:
+                from ..faults import VariationInjector
+
+                variation = VariationInjector(ensemble_sigma)
                 ensemble = [
-                    executor.perturbed(
+                    executor.faulted(
+                        variation,
                         trial_rng(
                             seed,
                             f"serve|{net.spec.key}|{ensemble_sigma:.6f}|{t}",
                         ),
-                        ensemble_sigma,
                     ).network
                     for t in range(ensemble_trials)
                 ]

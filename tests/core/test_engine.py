@@ -6,6 +6,7 @@ import pytest
 from repro.core.engine import ReSiPEEngine
 from repro.core.mvm import MVMMode
 from repro.errors import ShapeError
+from repro.faults import VariationInjector
 from repro.reram.device import DeviceSpec
 
 
@@ -69,18 +70,19 @@ class TestVariation:
     def test_perturbed_changes_outputs(self, engine, rng):
         x = rng.random(32)
         base = engine.mvm_values(x)
-        noisy = engine.perturbed(rng, 0.2).mvm_values(x)
+        noisy = engine.faulted(VariationInjector(0.2), rng).mvm_values(x)
         assert not np.allclose(base, noisy)
 
     def test_perturbed_preserves_original(self, engine, rng):
         before = engine.array.conductances.copy()
-        engine.perturbed(rng, 0.2)
+        engine.faulted(VariationInjector(0.2), rng)
         assert np.array_equal(engine.array.conductances, before)
 
     def test_zero_sigma_near_identity(self, engine, rng):
         x = rng.random(32)
         assert np.allclose(
-            engine.mvm_values(x), engine.perturbed(rng, 0.0).mvm_values(x)
+            engine.mvm_values(x),
+            engine.faulted(VariationInjector(0.0), rng).mvm_values(x),
         )
 
     def test_error_grows_with_sigma(self, engine):
@@ -90,7 +92,9 @@ class TestVariation:
         for sigma in (0.05, 0.2):
             trial_errs = []
             for seed in range(5):
-                noisy = engine.perturbed(np.random.default_rng(seed), sigma)
+                noisy = engine.faulted(
+                    VariationInjector(sigma), np.random.default_rng(seed)
+                )
                 trial_errs.append(np.abs(noisy.mvm_values(x) - ref).mean())
             errs.append(np.mean(trial_errs))
         assert errs[1] > errs[0]

@@ -165,3 +165,37 @@ class TestDescribe:
         for injector in injectors:
             payload = json.dumps(injector.describe())
             assert injector.describe()["type"] in payload
+
+
+NULL_INJECTORS = {
+    "stuck_at": StuckAtInjector(),
+    "variation": VariationInjector(sigma=0.0),
+    "variation-lognormal": VariationInjector(0.0, distribution="lognormal"),
+    "drift-elapsed": DriftInjector(elapsed=0.0),
+    "drift-nu": DriftInjector(elapsed=1e6, nu=0.0),
+    "wear": WearInjector(cycles=0.0),
+    "composite": CompositeInjector(
+        VariationInjector(0.0), DriftInjector(0.0), StuckAtInjector()
+    ),
+    "composite-empty": CompositeInjector(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NULL_INJECTORS))
+@pytest.mark.parametrize("window", ["unit", "device"])
+def test_null_injector_draws_nothing_and_changes_nothing(
+    name, window, weights, spec
+):
+    """The ``is_null`` contract every caller may rely on to skip an
+    injector: no random draw, and the input comes back unchanged."""
+    injector = NULL_INJECTORS[name]
+    assert injector.is_null
+    if window == "unit":
+        g, window_spec = weights, None
+    else:
+        g, window_spec = spec.g_min + weights * (spec.g_max - spec.g_min), spec
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    out = injector.apply(g, rng, spec=window_spec)
+    assert rng.bit_generator.state == before
+    assert np.array_equal(out, g)

@@ -9,6 +9,7 @@ from repro.core.mac import SingleSpikeMAC
 from repro.core.mvm import MVMMode, SingleSpikeMVM
 from repro.core.pipeline import schedule_pipeline
 from repro.datasets import make_mnist_like, train_test_split
+from repro.faults import VariationInjector
 from repro.mapping import PIMExecutor, ReSiPEBackend, compile_network
 from repro.nn import Adam, Dense, ReLU, Sequential, Trainer
 from repro.reram.crossbar import CrossbarArray
@@ -68,7 +69,9 @@ class TestTrainMapEvaluate:
         net = compile_network(model, ReSiPEBackend(mode=MVMMode.EXACT))
         ex = PIMExecutor(net, train.images[:64])
         noisy = [
-            ex.perturbed(np.random.default_rng(s), 0.20).accuracy(
+            ex.faulted(
+                VariationInjector(0.20), np.random.default_rng(s)
+            ).accuracy(
                 test.images, test.labels
             )
             for s in range(3)

@@ -5,8 +5,8 @@ import pytest
 
 from repro.config import CircuitParameters
 from repro.core.engine import ReSiPEEngine
+from repro.faults import CompositeInjector, StuckAtInjector, VariationInjector
 from repro.reram.device import DeviceSpec
-from repro.reram.variation import StuckAtFaultModel
 
 
 @pytest.fixture(scope="module")
@@ -25,16 +25,14 @@ def stimulus():
 class TestStuckAtFaults:
     def test_stuck_off_reduces_outputs(self, engine, stimulus):
         rng = np.random.default_rng(2)
-        faults = StuckAtFaultModel(stuck_off_rate=0.3)
-        faulty = engine.perturbed(rng, sigma=0.0, faults=faults)
+        faulty = engine.faulted(StuckAtInjector(stuck_off_rate=0.3), rng)
         base = engine.mvm_values(stimulus)
         hit = faulty.mvm_values(stimulus)
         assert hit.mean() < base.mean()
 
     def test_stuck_on_increases_outputs(self, engine, stimulus):
         rng = np.random.default_rng(3)
-        faults = StuckAtFaultModel(stuck_on_rate=0.3)
-        faulty = engine.perturbed(rng, sigma=0.0, faults=faults)
+        faulty = engine.faulted(StuckAtInjector(stuck_on_rate=0.3), rng)
         assert faulty.mvm_values(stimulus).mean() > engine.mvm_values(stimulus).mean()
 
     def test_error_monotone_in_fault_rate(self, engine, stimulus):
@@ -43,9 +41,9 @@ class TestStuckAtFaults:
         for rate in (0.01, 0.05, 0.2):
             trial = []
             for seed in range(4):
-                faults = StuckAtFaultModel(stuck_off_rate=rate)
-                faulty = engine.perturbed(
-                    np.random.default_rng(seed), 0.0, faults=faults
+                faulty = engine.faulted(
+                    StuckAtInjector(stuck_off_rate=rate),
+                    np.random.default_rng(seed),
                 )
                 trial.append(np.abs(faulty.mvm_values(stimulus) - base).mean())
             errors.append(np.mean(trial))
@@ -53,8 +51,11 @@ class TestStuckAtFaults:
 
     def test_outputs_remain_physical_under_faults(self, engine, stimulus):
         """Even a badly damaged array produces finite, bounded spikes."""
-        faults = StuckAtFaultModel(stuck_on_rate=0.4, stuck_off_rate=0.4)
-        faulty = engine.perturbed(np.random.default_rng(4), 0.3, faults=faults)
+        faults = CompositeInjector(
+            VariationInjector(0.3),
+            StuckAtInjector(stuck_on_rate=0.4, stuck_off_rate=0.4),
+        )
+        faulty = engine.faulted(faults, np.random.default_rng(4))
         times = faulty.output_times(stimulus)
         assert np.all(np.isfinite(times))
         assert np.all(times >= 0)
@@ -63,14 +64,18 @@ class TestStuckAtFaults:
 
 class TestExtremeVariation:
     def test_survives_50_percent_sigma(self, engine, stimulus):
-        noisy = engine.perturbed(np.random.default_rng(5), 0.5)
+        noisy = engine.faulted(
+            VariationInjector(0.5), np.random.default_rng(5)
+        )
         y = noisy.mvm_values(stimulus)
         assert np.all(np.isfinite(y))
 
     def test_window_clipping_respected(self, engine):
         """Variation can never push a conductance outside the device
         window (the physical clip in VariationModel)."""
-        noisy = engine.perturbed(np.random.default_rng(6), 0.8)
+        noisy = engine.faulted(
+            VariationInjector(0.8), np.random.default_rng(6)
+        )
         g = noisy.array.conductances
         spec = noisy.array.spec
         assert np.all(g >= spec.g_min - 1e-18)

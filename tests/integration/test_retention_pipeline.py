@@ -6,9 +6,9 @@ import pytest
 from repro.config import CircuitParameters
 from repro.core.engine import ReSiPEEngine
 from repro.core.mvm import MVMMode
-from repro.mapping import PIMExecutor, ReSiPEBackend, compile_network
+from repro.faults import DriftInjector
+from repro.mapping import DesignBackend, PIMExecutor, ReSiPEBackend, compile_network
 from repro.nn import Dense, ReLU, Sequential
-from repro.reram.retention import RetentionModel
 
 
 @pytest.fixture(scope="module")
@@ -21,20 +21,19 @@ def engine():
 
 class TestEngineAging:
     def test_aged_outputs_decay(self, engine, rng):
-        retention = RetentionModel(nu=0.05)
         x = rng.random((8, 16))
         fresh = engine.mvm_values(x)
-        old = engine.aged(retention, 1e6, rng).mvm_values(x)
+        old = engine.faulted(DriftInjector(1e6, nu=0.05), rng).mvm_values(x)
         assert old.mean() < fresh.mean()
 
     def test_original_untouched(self, engine, rng):
         before = engine.array.conductances.copy()
-        engine.aged(RetentionModel(nu=0.05), 1e6, rng)
+        engine.faulted(DriftInjector(1e6, nu=0.05), rng)
         assert np.array_equal(engine.array.conductances, before)
 
     def test_zero_elapsed_identity(self, engine, rng):
         x = rng.random(16)
-        aged = engine.aged(RetentionModel(nu=0.05), 0.0, rng)
+        aged = engine.faulted(DriftInjector(0.0, nu=0.05), rng)
         assert np.allclose(aged.mvm_values(x), engine.mvm_values(x))
 
 
@@ -50,9 +49,9 @@ class TestExecutorAging:
 
     def test_aged_executor_differs(self, setup, rng):
         executor, x = setup
-        retention = RetentionModel(nu=0.05, nu_sigma=0.3)
+        drift = DriftInjector(1e7, nu=0.05, nu_sigma=0.3)
         fresh = executor.forward(x)
-        aged = executor.aged(retention, 1e7, rng).forward(x)
+        aged = executor.faulted(drift, rng).forward(x)
         assert not np.allclose(fresh, aged)
 
     def test_differential_mapping_partially_cancels_uniform_drift(self, setup):
@@ -60,19 +59,30 @@ class TestExecutorAging:
         the differential output merely scales — far more benign than the
         same magnitude of random variation."""
         executor, x = setup
-        uniform = RetentionModel(nu=0.05, nu_sigma=0.0)
+        uniform = DriftInjector(1e6, nu=0.05, nu_sigma=0.0)
         fresh = executor.forward(x)
-        aged = executor.aged(uniform, 1e6).forward(x)
+        aged = executor.faulted(uniform, None).forward(x)
         # Outputs shrink but stay highly correlated with the fresh ones.
         corr = np.corrcoef(fresh.ravel(), aged.ravel())[0, 1]
         assert corr > 0.99
 
     def test_baseline_tiles_age_as_noop(self, rng):
+        from repro.baselines import LevelBasedPIM
+
+        model = Sequential([Dense(6, 3, rng=rng)], name="tiny")
+        backend = DesignBackend(lambda r, c: LevelBasedPIM(r, c))
+        net = compile_network(model, backend)
+        executor = PIMExecutor(net, rng.random((4, 6)))
+        x = rng.random((4, 6))
+        aged = executor.faulted(DriftInjector(1e9, nu=0.1), rng)
+        assert np.allclose(executor.forward(x), aged.forward(x))
+
+    def test_ideal_tiles_drift_on_the_unit_window(self, rng):
         from repro.mapping.backends import IdealBackend
 
         model = Sequential([Dense(6, 3, rng=rng)], name="tiny")
         net = compile_network(model, IdealBackend())
         executor = PIMExecutor(net, rng.random((4, 6)))
         x = rng.random((4, 6))
-        aged = executor.aged(RetentionModel(nu=0.1), 1e9)
-        assert np.allclose(executor.forward(x), aged.forward(x))
+        aged = executor.faulted(DriftInjector(1e9, nu=0.1), rng)
+        assert not np.allclose(executor.forward(x), aged.forward(x))

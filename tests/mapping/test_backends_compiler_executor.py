@@ -7,6 +7,7 @@ from repro.baselines import LevelBasedPIM
 from repro.config import CircuitParameters
 from repro.core.mvm import MVMMode
 from repro.errors import MappingError
+from repro.faults import VariationInjector
 from repro.mapping import (
     DesignBackend,
     IdealBackend,
@@ -39,7 +40,7 @@ class TestBackends:
 
     def test_ideal_perturbed(self, rng):
         tile = IdealBackend().program(rng.random((4, 4)))
-        noisy = tile.perturbed(rng, 0.2)
+        noisy = tile.faulted(VariationInjector(0.2), rng)
         x = rng.random(4)
         assert not np.allclose(tile.matmul(x), noisy.matmul(x))
 
@@ -105,7 +106,7 @@ class TestCompiler:
 
     def test_perturbed_network_isolated(self, mlp, rng):
         net = compile_network(mlp, IdealBackend())
-        clone = net.perturbed(rng, 0.3)
+        clone = net.faulted(VariationInjector(0.3), rng)
         x = rng.random((2, 12))
         a = net.stages[0].matmul_with_bias_level(x, 1.0)
         b = clone.stages[0].matmul_with_bias_level(x, 1.0)
@@ -178,7 +179,7 @@ class TestExecutor:
         net = compile_network(mlp, ReSiPEBackend(mode=MVMMode.LINEAR))
         executor = PIMExecutor(net, x_batch[:8])
         base = executor.forward(x_batch)
-        noisy = executor.perturbed(rng, 0.3).forward(x_batch)
+        noisy = executor.faulted(VariationInjector(0.3), rng).forward(x_batch)
         assert not np.allclose(base, noisy)
 
     def test_empty_calibration_rejected(self, mlp):

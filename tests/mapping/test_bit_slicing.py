@@ -8,8 +8,11 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.mvm import MVMMode
 from repro.errors import MappingError
+from repro.faults import CompositeInjector, StuckAtInjector, VariationInjector
+from repro.mapping import PIMExecutor, compile_network
 from repro.mapping.backends import IdealBackend, ReSiPEBackend
 from repro.mapping.bit_slicing import BitSlicingBackend, slice_weights
+from repro.nn import Dense, ReLU, Sequential
 from repro.reram.device import DeviceSpec
 
 
@@ -97,8 +100,37 @@ class TestBitSlicingBackend:
         tile = backend.program(rng.random((8, 4)))
         x = rng.random(8)
         base = tile.matmul(x)
-        noisy = tile.perturbed(rng, 0.2).matmul(x)
+        noisy = tile.faulted(VariationInjector(0.2), rng).matmul(x)
         assert not np.allclose(base, noisy)
+
+    def test_faults_reach_every_slice(self, rng):
+        model = Sequential(
+            [Dense(10, 6, rng=rng), ReLU(), Dense(6, 3, rng=rng)], name="bits"
+        )
+        backend = BitSlicingBackend(total_bits=4, bits_per_slice=2)
+        executor = PIMExecutor(compile_network(model, backend),
+                               rng.random((8, 10)))
+        x = rng.random((5, 10))
+        stuck = executor.faulted(
+            StuckAtInjector(stuck_on_rate=0.5), np.random.default_rng(3)
+        )
+        assert stuck.forward(x).tobytes() != executor.forward(x).tobytes()
+
+    def test_slices_draw_in_slice_order(self, rng):
+        tile = BitSlicingBackend(total_bits=6, bits_per_slice=2).program(
+            rng.random((8, 5))
+        )
+        injector = CompositeInjector(
+            VariationInjector(0.1), StuckAtInjector(stuck_off_rate=0.2)
+        )
+        drawn = tile.faulted(injector, np.random.default_rng(4))
+        oracle = np.random.default_rng(4)
+        for pristine, clone in zip(tile._tiles, drawn._tiles):
+            (e0,), (e1,) = pristine._engines, clone._engines
+            expected = injector.apply(
+                e0.array.conductances, oracle, e0.array.spec
+            )
+            assert e1.array.conductances.tobytes() == expected.tobytes()
 
     def test_validation(self):
         with pytest.raises(MappingError):

@@ -21,6 +21,7 @@ import pytest
 
 from repro.config import CircuitParameters
 from repro.core.mvm import MVMMode
+from repro.faults import VariationInjector
 from repro.mapping import PIMExecutor, ReSiPEBackend, compile_network
 from repro.nn import Conv2D, Dense, Flatten, ReLU, Sequential
 
@@ -64,7 +65,9 @@ def outputs(net: str, mode: MVMMode, sigma: float, redundancy: int) -> dict:
     )
     executor = PIMExecutor(compile_network(model, backend), calibration)
     clones = [
-        executor.perturbed(np.random.default_rng([7, trial]), sigma)
+        executor.faulted(
+            VariationInjector(sigma), np.random.default_rng([7, trial])
+        )
         for trial in range(TRIALS)
     ]
     networks = [clone.network for clone in clones]

@@ -1,11 +1,14 @@
-"""Draw-order contract of the network-level Monte-Carlo clone.
+"""Draw-order contract of the one clone routine.
 
-:meth:`MappedNetwork.perturbed` draws one trial's variation with a
-single ``rng.normal(1, σ, N)`` over every programmed cell.  It must
-consume exactly the stream of the per-tile chain (every tile, then
-every redundancy slot, drawing for itself) and produce the same bytes;
-at σ = 0 it must draw nothing and share the pristine tiles; networks
-whose tiles carry no conductance matrix keep the per-tile chain.
+:meth:`MappedNetwork.faulted` draws every tile through
+:func:`~repro.mapping.backends.faulted_tiles`.  Whatever path it takes
+— one bulk ``apply`` over the conductance pool for an elementwise
+injector, one ``apply`` per tile and redundancy slot into one buffer
+for any other — it must consume exactly the stream of the per-tile
+oracle below (every tile, then every redundancy slot, applying the
+injector for itself) and produce the same bytes.  A null injector
+draws nothing and shares the pristine tiles; networks whose tiles
+carry no conductance pool take the per-tile route.
 """
 
 import dataclasses
@@ -18,7 +21,15 @@ from hypothesis import strategies as st
 from repro.baselines import LevelBasedPIM
 from repro.config import CircuitParameters
 from repro.core.mvm import MVMMode
-from repro.errors import DeviceError
+from repro.errors import DeviceError, ShapeError
+from repro.faults import (
+    CompositeInjector,
+    DriftInjector,
+    StuckAtInjector,
+    VariationInjector,
+    WearInjector,
+)
+from repro.faults.injectors import FaultInjector
 from repro.mapping import (
     DesignBackend,
     IdealBackend,
@@ -26,9 +37,47 @@ from repro.mapping import (
     ReSiPEBackend,
     compile_network,
 )
-from repro.mapping.bit_slicing import BitSlicingBackend
+from repro.mapping.backends import _IdealTile, _ReSiPETile
+from repro.mapping.bit_slicing import BitSlicingBackend, _BitSlicedTile
+from repro.mapping.compiler import MappedNetwork
 from repro.mapping.stacked import stack_networks
 from repro.nn import Dense, ReLU, Sequential
+
+
+class DeadColumn(FaultInjector):
+    """A 2-D test fault: one random column per crossbar reads g_min."""
+
+    def apply(self, conductances, rng, spec=None):
+        g = np.array(conductances, dtype=float)
+        g[:, rng.integers(g.shape[1])] = 0.0 if spec is None else spec.g_min
+        return g
+
+    def describe(self):
+        return {"type": "dead-column"}
+
+
+class Reshape(FaultInjector):
+    """A broken fault: flattens the array it is given."""
+
+    def apply(self, conductances, rng, spec=None):
+        return np.ravel(conductances)
+
+    def describe(self):
+        return {"type": "reshape"}
+
+
+#: Elementwise injectors take the bulk path, the rest go per slot.
+INJECTORS = {
+    "variation": lambda s: VariationInjector(s),
+    "lognormal": lambda s: VariationInjector(s, distribution="lognormal"),
+    "stuck-at": lambda s: StuckAtInjector(s / 2, s / 3),
+    "drift": lambda s: DriftInjector(10 ** (8 * s), nu=0.05, nu_sigma=s),
+    "wear": lambda s: WearInjector(2e7 * s),
+    "composite": lambda s: CompositeInjector(
+        WearInjector(1e6), VariationInjector(s), StuckAtInjector(s / 4)
+    ),
+    "dead-column": lambda s: DeadColumn(),
+}
 
 
 def _network(backend, widths=(40, 36, 5), seed=0):
@@ -46,9 +95,37 @@ def _resipe(redundancy=1, mode=MVMMode.EXACT):
     )
 
 
-def per_tile_chain(network, rng, sigma):
+def _oracle_tile(tile, injector, rng):
+    """``tile`` drawn slot by slot: one explicit ``injector.apply`` per
+    redundancy slot (per slice of a bit-sliced tile, MSB first)."""
+    if isinstance(tile, _ReSiPETile):
+        return _ReSiPETile([
+            e.with_array(e.array.with_conductances(np.asarray(
+                injector.apply(e.array.conductances, rng, e.array.spec),
+                dtype=float,
+            )))
+            for e in tile._engines
+        ])
+    if isinstance(tile, _BitSlicedTile):
+        return _BitSlicedTile(
+            [_oracle_tile(t, injector, rng) for t in tile._tiles],
+            list(tile._scales),
+        )
+    if isinstance(tile, _IdealTile):
+        return _IdealTile(injector.apply(tile._w, rng, None))
+    return tile  # design tiles carry no device state
+
+
+def per_tile_chain(network, injector, rng):
     """Every tile, then every redundancy slot, draws for itself."""
-    return network._with_stages(lambda s: s.perturbed(rng, sigma))
+    drawn = iter([_oracle_tile(t, injector, rng) for t in network.tiles()])
+    return MappedNetwork(
+        model=network.model,
+        stages=[
+            s._with_tiles(lambda _: next(drawn)) if s is not None else None
+            for s in network.stages
+        ],
+    )
 
 
 def _tile_state(tile):
@@ -69,29 +146,42 @@ def _rng_state(rng):
     return rng.bit_generator.state
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     widths=st.lists(st.integers(1, 70), min_size=2, max_size=3),
     redundancy=st.integers(1, 2),
+    kind=st.sampled_from(sorted(INJECTORS)),
     sigma=st.floats(0.01, 0.3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_bulk_draw_equals_per_tile_chain(widths, redundancy, sigma, seed):
+def test_bulk_draw_equals_per_tile_chain(widths, redundancy, kind, sigma,
+                                         seed):
     network = _network(_resipe(redundancy), widths)
+    injector = INJECTORS[kind](sigma)
     rng_bulk = np.random.default_rng(seed)
     rng_chain = np.random.default_rng(seed)
-    bulk = network.perturbed(rng_bulk, sigma)
-    chain = per_tile_chain(network, rng_chain, sigma)
+    bulk = network.faulted(injector, rng_bulk)
+    chain = per_tile_chain(network, injector, rng_chain)
     assert bulk.drawn is not None
     assert _state(bulk) == _state(chain)
     assert _rng_state(rng_bulk) == _rng_state(rng_chain)
+
+
+def test_elementwise_is_declared_by_the_built_in_mechanisms():
+    kinds = {k: INJECTORS[k](0.1).elementwise for k in INJECTORS}
+    assert kinds == {
+        "variation": True, "lognormal": True, "stuck-at": True,
+        "drift": True, "wear": True, "composite": False,
+        "dead-column": False,
+    }
 
 
 def test_explicit_draw_oracle():
     network = _network(_resipe(redundancy=2))
     spec = network.tiles()[0]._engines[0].array.spec
     rng = np.random.default_rng(11)
-    clone = network.perturbed(np.random.default_rng(11), 0.1)
+    clone = network.faulted(VariationInjector(0.1),
+                            np.random.default_rng(11))
     shapes = {e.array.shape for t in network.tiles() for e in t._engines}
     assert len(shapes) > 1  # mixed tile shapes
     for pristine, drawn in zip(network.tiles(), clone.tiles()):
@@ -105,18 +195,20 @@ def test_explicit_draw_oracle():
 
 def test_clone_arrays_are_views_of_one_read_only_buffer():
     network = _network(_resipe(redundancy=2))
-    clone = network.perturbed(np.random.default_rng(1), 0.1)
-    pool, cells = clone.drawn
-    assert cells.shape == pool.cells.shape
-    assert not cells.flags.writeable
-    for tile in clone.tiles():
-        for engine in tile._engines:
-            assert np.shares_memory(engine.array.conductances, cells)
+    for kind in ("variation", "composite", "dead-column"):
+        clone = network.faulted(INJECTORS[kind](0.1),
+                                np.random.default_rng(1))
+        pool, cells = clone.drawn
+        assert cells.shape == pool.cells.shape
+        assert not cells.flags.writeable
+        for tile in clone.tiles():
+            for engine in tile._engines:
+                assert np.shares_memory(engine.array.conductances, cells)
 
 
 def test_clone_engines_share_the_pristine_stages():
     network = _network(_resipe())
-    clone = network.perturbed(np.random.default_rng(1), 0.1)
+    clone = network.faulted(VariationInjector(0.1), np.random.default_rng(1))
     for pristine, drawn in zip(network.tiles(), clone.tiles()):
         e0, e1 = pristine._engines[0], drawn._engines[0]
         assert e1.codec is e0.codec
@@ -136,31 +228,35 @@ BACKENDS = {
 @pytest.mark.parametrize("kind", sorted(BACKENDS))
 def test_sigma_zero_draws_nothing_and_shares_tiles(kind):
     network = _network(BACKENDS[kind](), widths=(20, 9, 3))
-    rng = np.random.default_rng(5)
-    before = _rng_state(rng)
-    clone = network.perturbed(rng, 0.0)
-    assert _rng_state(rng) == before
-    assert all(a is b for a, b in zip(clone.tiles(), network.tiles()))
-    assert clone.drawn is None
+    for injector in (VariationInjector(0.0), DriftInjector(0.0),
+                     CompositeInjector(StuckAtInjector(), WearInjector(0))):
+        rng = np.random.default_rng(5)
+        before = _rng_state(rng)
+        clone = network.faulted(injector, rng)
+        assert _rng_state(rng) == before
+        assert all(a is b for a, b in zip(clone.tiles(), network.tiles()))
+        assert clone.drawn is None
 
 
 @pytest.mark.parametrize("kind", ["ideal", "design", "bit-sliced"])
 def test_fallback_tiles_keep_their_own_draw(kind):
     network = _network(BACKENDS[kind](), widths=(20, 9, 3))
-    rng_net = np.random.default_rng(8)
-    rng_chain = np.random.default_rng(8)
-    clone = network.perturbed(rng_net, 0.15)
-    chain = per_tile_chain(network, rng_chain, 0.15)
-    assert clone.drawn is None
-    assert _state(clone) == _state(chain)
-    assert _rng_state(rng_net) == _rng_state(rng_chain)
+    for injector in (VariationInjector(0.15), INJECTORS["composite"](0.15)):
+        rng_net = np.random.default_rng(8)
+        rng_chain = np.random.default_rng(8)
+        clone = network.faulted(injector, rng_net)
+        chain = per_tile_chain(network, injector, rng_chain)
+        assert clone.drawn is None
+        assert _state(clone) == _state(chain)
+        assert _rng_state(rng_net) == _rng_state(rng_chain)
 
 
 def test_second_generation_draws_from_the_clone():
     network = _network(_resipe())
-    clone = network.perturbed(np.random.default_rng(2), 0.1)
-    again = clone.perturbed(np.random.default_rng(3), 0.05)
-    chain = per_tile_chain(clone, np.random.default_rng(3), 0.05)
+    clone = network.faulted(VariationInjector(0.1), np.random.default_rng(2))
+    drift = DriftInjector(1e6, nu=0.05)
+    again = clone.faulted(drift, np.random.default_rng(3))
+    chain = per_tile_chain(clone, drift, np.random.default_rng(3))
     assert _state(again) == _state(chain)
     assert again.drawn[0] is not clone.drawn[0]
 
@@ -168,47 +264,51 @@ def test_second_generation_draws_from_the_clone():
 def test_negative_sigma_rejected_like_the_chain():
     network = _network(_resipe())
     with pytest.raises(DeviceError):
-        per_tile_chain(network, np.random.default_rng(0), -0.1)
-    with pytest.raises(DeviceError):
-        network.perturbed(np.random.default_rng(0), -0.1)
+        network.faulted(VariationInjector(-0.1), np.random.default_rng(0))
+
+
+def test_shape_changing_injector_rejected():
+    network = _network(_resipe())
+    with pytest.raises(ShapeError):
+        network.faulted(Reshape(), np.random.default_rng(0))
 
 
 def test_replace_drops_the_draw():
     network = _network(_resipe())
-    clone = network.perturbed(np.random.default_rng(2), 0.1)
+    clone = network.faulted(VariationInjector(0.1), np.random.default_rng(2))
     assert dataclasses.replace(clone).drawn is None
 
 
 @pytest.mark.parametrize("redundancy", [1, 2])
 @pytest.mark.parametrize("mode", [MVMMode.EXACT, MVMMode.LINEAR])
 def test_one_copy_stack_equals_per_tile_stack(mode, redundancy):
-    """Stacking bulk clones (one ``(T, N)`` copy) equals stacking the
-    per-tile chain's clones, tensor by tensor and output by output; a
-    mix of both kinds takes the per-tile route and agrees too."""
+    """Stacking pool-drawn clones (one ``(T, N)`` copy) equals stacking
+    the per-tile chain's clones, tensor by tensor and output by output,
+    for variation and for a composite drawn slot by slot; a mix of both
+    kinds takes the per-tile route and agrees too."""
     rng = np.random.default_rng(4)
     network = _network(_resipe(redundancy, mode))
     executor = PIMExecutor(network, rng.random((16, 40)))
-    bulk = [network.perturbed(np.random.default_rng([9, t]), 0.1)
-            for t in range(3)]
-    chain = [per_tile_chain(network, np.random.default_rng([9, t]), 0.1)
-             for t in range(3)]
-    fast, slow = stack_networks(bulk), stack_networks(chain)
-    for layer_fast, layer_slow in zip(fast.mapped_layers(),
-                                      slow.mapped_layers()):
-        for attr in ("pos_tiles", "neg_tiles"):
-            for row_fast, row_slow in zip(getattr(layer_fast, attr),
-                                          getattr(layer_slow, attr)):
-                for a, b in zip(row_fast, row_slow):
-                    for e_a, e_b in zip(a._engines, b._engines):
-                        s_a, s_b = e_a.array, e_b.array
-                        assert np.array_equal(s_a.conductances,
-                                              s_b.conductances)
-                        assert np.array_equal(
-                            s_a.column_total_conductance(),
-                            s_b.column_total_conductance(),
-                        )
     x = rng.random((5, 40))
-    out = executor.forward_trials(x, bulk)
-    assert out.tobytes() == executor.forward_trials(x, chain).tobytes()
-    mixed = executor.forward_trials(x, [bulk[0], chain[1], bulk[2]])
-    assert mixed.tobytes() == out.tobytes()
+    for kind in ("variation", "composite"):
+        injector = INJECTORS[kind](0.1)
+        bulk = [network.faulted(injector, np.random.default_rng([9, t]))
+                for t in range(3)]
+        chain = [
+            per_tile_chain(network, injector, np.random.default_rng([9, t]))
+            for t in range(3)
+        ]
+        assert all(net.drawn is not None for net in bulk)
+        fast, slow = stack_networks(bulk), stack_networks(chain)
+        for tile_fast, tile_slow in zip(fast.tiles(), slow.tiles()):
+            for e_a, e_b in zip(tile_fast._engines, tile_slow._engines):
+                s_a, s_b = e_a.array, e_b.array
+                assert np.array_equal(s_a.conductances, s_b.conductances)
+                assert np.array_equal(
+                    s_a.column_total_conductance(),
+                    s_b.column_total_conductance(),
+                )
+        out = executor.forward_trials(x, bulk)
+        assert out.tobytes() == executor.forward_trials(x, chain).tobytes()
+        mixed = executor.forward_trials(x, [bulk[0], chain[1], bulk[2]])
+        assert mixed.tobytes() == out.tobytes()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.faults import VariationInjector
 from repro.mapping import IdealBackend, PIMExecutor, compile_network
 from repro.nn import Dense, ReLU, Sequential
 from repro.runtime import trial_rng
@@ -44,7 +45,9 @@ class TestStackedPath:
     @pytest.fixture
     def clones(self, executor):
         return [
-            executor.perturbed(trial_rng(0, f"empty|{t}"), 0.1).network
+            executor.faulted(
+                VariationInjector(0.1), trial_rng(0, f"empty|{t}")
+            ).network
             for t in range(3)
         ]
 

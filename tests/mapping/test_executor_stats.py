@@ -6,6 +6,7 @@ import pytest
 from repro.config import CircuitParameters
 from repro.core.mvm import MVMMode
 from repro.core.power import ReSiPEPowerModel
+from repro.faults import VariationInjector
 from repro.mapping import PIMExecutor, ReSiPEBackend, compile_network
 from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sequential
 
@@ -64,7 +65,7 @@ class TestLaunchCounting:
     def test_clones_start_clean(self, executor, rng):
         ex, _ = executor
         ex.forward(rng.random((4, 20)))
-        clone = ex.perturbed(rng, 0.1)
+        clone = ex.faulted(VariationInjector(0.1), rng)
         assert clone.total_mvm_launches() == 0
 
 

@@ -164,11 +164,10 @@ class TestDetectAndRemap:
         result = detect_and_remap(
             network, faulted, IdealBackend(), probe, spare_fraction=0.5
         )
-        patched = result.network.stages[0]
-        with pytest.raises(MappingError):
-            patched.perturbed(rng, 0.1)
-        with pytest.raises(MappingError):
-            patched.faulted(KillColumns([1]), rng)
+        with pytest.raises(MappingError, match="remapped"):
+            result.network.faulted(VariationInjector(0.1), rng)
+        with pytest.raises(MappingError, match="remapped"):
+            result.network.faulted(KillColumns([1]), rng)
 
     def test_remaps_an_already_remapped_network(self, network, probe, rng):
         # A repaired chip (column 1 on a spare) whose column 3 fails
@@ -312,7 +311,7 @@ def test_stacked_strips_match_per_tile_loop(
     columns = [int(c) for c in rng.permutation(fan_out)]
     spare = columns[:strips]
     soft = columns[len(spare):len(spare) + software]
-    base = layer.faulted(_INJECTOR, rng)
+    base = layer._with_tiles(lambda t: t.faulted(_INJECTOR, rng))
 
     new_rng = np.random.default_rng(seed + 1)
     old_rng = np.random.default_rng(seed + 1)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.config import CircuitParameters
 from repro.core.mvm import MVMMode, SingleSpikeMVM
 from repro.errors import MappingError, ShapeError
-from repro.faults import HealthProbe, StuckAtInjector
+from repro.faults import HealthProbe, StuckAtInjector, VariationInjector
 from repro.mapping import (
     IdealBackend,
     PatchedLayer,
@@ -30,14 +30,13 @@ from repro.mapping import (
 from repro.mapping.stacked import stack_networks
 from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sequential
 from repro.reram.crossbar import CrossbarArray
-from repro.reram.variation import VariationModel
 
 
 def _variants(rng, trials=4, rows=16, cols=8):
     base = CrossbarArray(rows, cols)
     base.program_normalised(rng.random((rows, cols)))
-    model = VariationModel(sigma=0.1)
-    return [base.perturb(rng, variation=model) for _ in range(trials)]
+    variation = VariationInjector(sigma=0.1)
+    return [base.injected(variation, rng) for _ in range(trials)]
 
 
 def _stack(arrays):
@@ -118,7 +117,7 @@ class TestStackTiles:
     ])
     def test_bit_identical_to_serial(self, rng, backend):
         base = backend.program(rng.random((16, 6)))
-        tiles = [base.perturbed(rng, 0.1) for _ in range(3)]
+        tiles = [base.faulted(VariationInjector(0.1), rng) for _ in range(3)]
         stacked = stack_tiles(tiles)
         x = rng.random((5, 16))
         out = stacked.matmul(x)
@@ -196,7 +195,8 @@ def test_slice_equals_lone_clone(trials, batch, mode, redundancy,
     assume(trials > 1 or not per_trial)
     executor, shape = _executor(mode, redundancy, conv)
     rng = np.random.default_rng(seed)
-    clones = [executor.network.perturbed(rng, 0.1) for _ in range(trials)]
+    variation = VariationInjector(0.1)
+    clones = [executor.network.faulted(variation, rng) for _ in range(trials)]
     if per_trial:
         x = rng.random((trials, batch) + shape)
         out = executor._forward(x, stack_networks(clones))
@@ -225,7 +225,8 @@ class TestExecutorTrials:
         return PIMExecutor(mapped, rng.random((32, 12)))
 
     def test_forward_trials_bit_identical(self, rng, executor):
-        clones = [executor.perturbed(rng, 0.1) for _ in range(3)]
+        variation = VariationInjector(0.1)
+        clones = [executor.faulted(variation, rng) for _ in range(3)]
         x = rng.random((6, 12))
         stacked_out = executor.forward_trials(x, [c.network for c in clones])
         assert stacked_out.shape[0] == 3
@@ -233,7 +234,8 @@ class TestExecutorTrials:
             assert np.array_equal(stacked_out[t], clone.forward(x))
 
     def test_accuracy_trials_bit_identical(self, rng, executor):
-        clones = [executor.perturbed(rng, 0.2) for _ in range(3)]
+        variation = VariationInjector(0.2)
+        clones = [executor.faulted(variation, rng) for _ in range(3)]
         x = rng.random((20, 12))
         labels = rng.integers(0, 4, 20)
         accs = executor.accuracy_trials(x, labels, [c.network for c in clones])
@@ -244,7 +246,7 @@ class TestExecutorTrials:
             )
 
     def test_one_network_is_its_own_stack(self, rng, executor):
-        clone = executor.perturbed(rng, 0.1).network
+        clone = executor.faulted(VariationInjector(0.1), rng).network
         assert stack_networks([clone]) is clone
         x = rng.random((6, 12))
         out = executor.forward_trials(x, [clone])
@@ -285,3 +287,19 @@ class TestExecutorTrials:
             stack_networks([remapped])
         out = executor._clone_with_network(remapped).forward(x)
         assert out.shape == (6, 4)
+
+    def test_a_trial_stack_cannot_be_redrawn(self, rng, executor):
+        """Re-drawing a trial stack raises instead of slicing the
+        ``(T, rows, cols)`` buffers as if they were one chip."""
+        variation = VariationInjector(0.1)
+        stack = stack_networks(
+            [executor.network.faulted(variation, rng) for _ in range(2)]
+        )
+        assert stack.trials == 2
+        stacked_executor = executor._clone_with_network(stack)
+        for injector in (variation, StuckAtInjector(0.1),
+                         VariationInjector(0.0)):
+            with pytest.raises(MappingError, match="trial stack"):
+                stack.faulted(injector, rng)
+            with pytest.raises(MappingError, match="trial stack"):
+                stacked_executor.faulted(injector, rng)

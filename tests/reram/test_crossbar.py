@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.errors import DeviceError, ShapeError
+from repro.faults import CompositeInjector, StuckAtInjector, VariationInjector
 from repro.reram.crossbar import CrossbarArray
 from repro.reram.device import DeviceSpec
-from repro.reram.variation import StuckAtFaultModel, VariationModel
 
 
 @pytest.fixture
@@ -121,19 +121,17 @@ class TestColumnAnalysis:
 class TestPerturb:
     def test_original_untouched(self, programmed, rng):
         before = programmed.conductances.copy()
-        programmed.perturb(rng, variation=VariationModel(sigma=0.2))
+        programmed.injected(VariationInjector(sigma=0.2), rng)
         assert np.array_equal(programmed.conductances, before)
 
     def test_clone_differs(self, programmed, rng):
-        clone = programmed.perturb(rng, variation=VariationModel(sigma=0.2))
+        clone = programmed.injected(VariationInjector(sigma=0.2), rng)
         assert not np.array_equal(clone.conductances, programmed.conductances)
 
     def test_faults_applied(self, programmed, rng):
-        clone = programmed.perturb(
-            rng, faults=StuckAtFaultModel(stuck_on_rate=1.0)
-        )
+        clone = programmed.injected(StuckAtInjector(stuck_on_rate=1.0), rng)
         assert np.allclose(clone.conductances, programmed.spec.g_max)
 
     def test_noop_clone_equal(self, programmed, rng):
-        clone = programmed.perturb(rng)
+        clone = programmed.injected(CompositeInjector(), rng)
         assert np.array_equal(clone.conductances, programmed.conductances)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DeviceError
+from repro.faults import DriftInjector
 from repro.reram.crossbar import CrossbarArray
 from repro.reram.retention import RetentionModel
 
@@ -62,24 +63,24 @@ class TestSeededReproducibility:
         assert not np.array_equal(a, c)
 
     def test_age_array_reproducible(self, programmed):
-        model = RetentionModel(nu=0.05, nu_sigma=0.3)
-        a = model.age_array(programmed, 1e5, np.random.default_rng(9))
-        b = model.age_array(programmed, 1e5, np.random.default_rng(9))
+        drift = DriftInjector(1e5, nu=0.05, nu_sigma=0.3)
+        a = programmed.injected(drift, np.random.default_rng(9))
+        b = programmed.injected(drift, np.random.default_rng(9))
         assert np.array_equal(a.conductances, b.conductances)
 
 
 class TestAgeArray:
     def test_zero_elapsed_is_identity(self, programmed, rng):
-        aged = RetentionModel(nu=0.05).age_array(programmed, 0.0, rng)
+        aged = programmed.injected(DriftInjector(0.0, nu=0.05), rng)
         assert np.allclose(aged.conductances, programmed.conductances)
 
     def test_original_untouched(self, programmed, rng):
         before = programmed.conductances.copy()
-        RetentionModel(nu=0.05).age_array(programmed, 1e5, rng)
+        programmed.injected(DriftInjector(1e5, nu=0.05), rng)
         assert np.array_equal(programmed.conductances, before)
 
     def test_aged_conductances_lower_or_clipped(self, programmed, rng):
-        aged = RetentionModel(nu=0.05).age_array(programmed, 1e5, rng)
+        aged = programmed.injected(DriftInjector(1e5, nu=0.05), rng)
         g0 = programmed.conductances
         g1 = aged.conductances
         # Cells already at g_min stay clipped there; others decay.
@@ -87,9 +88,8 @@ class TestAgeArray:
         assert np.all(g1 >= programmed.spec.g_min - 1e-18)
 
     def test_longer_elapsed_more_decay(self, programmed, rng):
-        model = RetentionModel(nu=0.05)
-        young = model.age_array(programmed, 1e2)
-        old = model.age_array(programmed, 1e6)
+        young = programmed.injected(DriftInjector(1e2, nu=0.05), None)
+        old = programmed.injected(DriftInjector(1e6, nu=0.05), None)
         assert old.conductances.sum() < young.conductances.sum()
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import DeviceError
 from repro.reram.device import DeviceSpec
-from repro.reram.variation import StuckAtFaultModel, VariationModel, apply_variation
+from repro.reram.variation import StuckAtFaultModel, VariationModel
 
 
 class TestVariationModel:
@@ -54,12 +54,6 @@ class TestVariationModel:
             VariationModel(sigma=-0.1)
         with pytest.raises(DeviceError):
             VariationModel(sigma=0.1, distribution="cauchy")
-
-    def test_apply_variation_wrapper(self, rng):
-        g = np.full((4, 4), 1e-5)
-        out = apply_variation(g, 0.1, rng)
-        assert out.shape == g.shape
-        assert not np.array_equal(out, g)
 
 
 class TestStuckAtFaults:

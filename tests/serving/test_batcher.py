@@ -13,6 +13,7 @@ from repro.errors import (
     DeadlineExceededError,
     ExecutionError,
 )
+from repro.faults import VariationInjector
 from repro.serving import CircuitBreaker, MicroBatcher, ServingConfig
 
 from .conftest import serial_labels
@@ -346,7 +347,9 @@ class TestEnsemble:
         from repro.serving import ModelEntry
 
         clones = [
-            entry.executor.perturbed(trial_rng(0, f"serve|{t}"), 0.15).network
+            entry.executor.faulted(
+                VariationInjector(0.15), trial_rng(0, f"serve|{t}")
+            ).network
             for t in range(5)
         ]
         voted = ModelEntry(
@@ -367,7 +370,9 @@ class TestEnsemble:
         from repro.serving import ModelEntry
 
         clones = [
-            entry.executor.perturbed(trial_rng(0, f"serve|{t}"), 0.15).network
+            entry.executor.faulted(
+                VariationInjector(0.15), trial_rng(0, f"serve|{t}")
+            ).network
             for t in range(3)
         ]
         voted = ModelEntry(
