@@ -4,9 +4,9 @@ The simulator's headline guarantees (seeded resumable fault campaigns,
 atomic artifact persistence, datasheet-style SI parameterization,
 tolerance-aware float testing, a single error taxonomy) rest on coding
 conventions the interpreter never enforces.  This subpackage makes them
-machine-checked: a small rule registry (:mod:`.rules`), a file walker
-with baseline suppression (:mod:`.runner`), and a ``repro lint`` CLI
-subcommand wired into CI.
+machine-checked: a small registry of single-module AST rules
+(:mod:`.rules`), a file walker with exemption comments (:mod:`.runner`,
+:mod:`.config`), and a ``repro lint`` CLI subcommand wired into CI.
 
 Rules shipped (see ``docs/static_analysis.md`` for the catalogue):
 
@@ -18,30 +18,20 @@ IO001     persistence outside ``repro/store/`` must go through the
 UNIT001   physical constants use ``repro.units`` prefix constants, not
           bare ``100e-9``-style literals
 TEST001   no ``==``/``!=`` against float expressions in tests
+TEL001    clock reads go through ``repro.telemetry.clock``
 ERR001    ``raise`` in library code uses the :mod:`repro.errors`
           taxonomy, not bare builtins
-========  ==============================================================
-
-Project-wide dataflow rules (CFG + call graph, :mod:`.deep_rules`):
-
-========  ==============================================================
-ASYNC001  blocking calls (``time.sleep``, subprocess, lock waits, sync
-          sockets) reachable from ``async def`` via the call graph
-ASYNC002  every waiter (``asyncio.Future``) handed to the batcher /
-          daemon is resolved on all CFG paths, exception edges included
-CONC001   fork-unsafe captures (locks, sockets, loops, executors)
-          submitted to process pools
+OBS001    logging goes through ``repro.telemetry.logging``
+ASYNC001  no blocking call (``time.sleep``, subprocess, lock waits, sync
+          sockets) in an ``async def`` or a same-module helper it calls
 EXC002    broad ``except`` that swallows without re-raising, wrapping,
           failing a waiter, or storing the exception
-RES001    files/locks/sockets acquired without ``with``, try/finally
-          release, or ownership transfer
 ========  ==============================================================
 """
 
 from __future__ import annotations
 
-from .config import SYNC_ONLY_MODULES, filter_exempt, parse_exemptions
-from .deep_rules import DEEP_RULE_IDS, ProjectContext
+from .config import filter_exempt, parse_exemptions
 from .findings import Finding
 from .rules import RULES, Rule, check_source, get_rule
 from .runner import (
@@ -49,33 +39,26 @@ from .runner import (
     ModuleSource,
     lint_file,
     lint_paths,
-    load_baseline,
     render_json,
     render_sarif,
     render_text,
     run_lint,
-    write_baseline,
 )
 
 __all__ = [
-    "DEEP_RULE_IDS",
     "Finding",
     "LintReport",
     "ModuleSource",
-    "ProjectContext",
     "RULES",
     "Rule",
-    "SYNC_ONLY_MODULES",
     "check_source",
     "filter_exempt",
     "get_rule",
     "lint_file",
     "lint_paths",
-    "load_baseline",
     "parse_exemptions",
     "render_json",
     "render_sarif",
     "render_text",
     "run_lint",
-    "write_baseline",
 ]

@@ -1,20 +1,9 @@
-"""Analyzer configuration: sync-only modules and exemption comments.
+"""Exemption comments: the analyzer's one escape hatch.
 
-Two escape hatches keep the deep rules honest instead of noisy:
-
-* **sync-only modules** — modules that by design never run on an
-  asyncio event loop.  ASYNC001's call-graph traversal does not enter
-  them, so their deliberate blocking calls (the sync HTTP client's
-  retry-backoff ``time.sleep``) are in scope *explicitly*, not by the
-  accident of being unreachable today.
-* **exemption comments** — ``# lint: exempt RULE001 <reason>`` on the
-  finding's line (or the line directly above) suppresses that rule
-  there.  The reason is mandatory by convention and reviewed like
-  code; a bare baseline entry hides a finding, an exemption comment
-  justifies it in place.
-
-Both are data, not policy — the runner and the rules import from here
-so the full configuration surface of the analyzer is one small module.
+``# lint: exempt RULE001 <reason>`` on the finding's line (or the line
+directly above) suppresses that rule there.  The reason is mandatory by
+convention and reviewed like code: the comment justifies the finding in
+place, next to the code it excuses.
 """
 
 from __future__ import annotations
@@ -24,28 +13,12 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from .findings import Finding
 
-__all__ = [
-    "SYNC_ONLY_MODULES",
-    "parse_exemptions",
-    "filter_exempt",
-    "is_sync_only",
-]
-
-#: repo-relative POSIX paths of modules that never run on an event
-#: loop: ASYNC001 neither roots in them nor traverses into them.
-SYNC_ONLY_MODULES: Tuple[str, ...] = (
-    "src/repro/serving/client.py",  # sync HTTP client; sleeps on retry
-)
+__all__ = ["parse_exemptions", "filter_exempt"]
 
 #: ``# lint: exempt EXC002 handler converts to HTTP 500``
 _EXEMPT_RE = re.compile(
     r"#\s*lint:\s*exempt\s+(?P<rules>[A-Z]+[0-9]+(?:\s*,\s*[A-Z]+[0-9]+)*)"
 )
-
-
-def is_sync_only(path: str) -> bool:
-    """Whether ``path`` (repo-relative POSIX) is declared sync-only."""
-    return path in SYNC_ONLY_MODULES
 
 
 def parse_exemptions(text: str) -> Dict[int, Set[str]]:

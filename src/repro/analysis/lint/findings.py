@@ -3,8 +3,8 @@
 A finding pinpoints one violation: rule id, file, location, message and
 the offending source line.  Its :meth:`~Finding.fingerprint` hashes the
 rule id, the file and the *text* of the line (not its number), so a
-baseline entry keeps suppressing the same violation while unrelated
-edits move it up or down the file.
+SARIF consumer keeps matching the same violation while unrelated edits
+move it up or down the file.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class Finding:
     snippet: str = ""
 
     def fingerprint(self) -> str:
-        """Stable suppression key: rule + file + line *text*."""
+        """Stable identity key: rule + file + line *text*."""
         token = f"{self.rule}|{self.path}|{self.snippet}".encode()
         return hashlib.sha256(token).hexdigest()[:16]
 

@@ -4,7 +4,8 @@ Each rule is a singleton with an ``id``, a short ``title``, a
 ``rationale`` (why the invariant matters for reproduction fidelity),
 the ``scopes`` it applies to (``"src"`` library code, ``"tests"`` test
 code) and a ``check`` method yielding :class:`~.findings.Finding`
-records for one parsed module.
+records for one parsed module.  Every rule sees one module at a time:
+what a rule cannot decide from a single file's AST, it does not flag.
 
 Rules only need the stdlib :mod:`ast`; no third-party analysis
 framework is involved, so the checker runs anywhere the library runs.
@@ -14,11 +15,87 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .findings import Finding
 
-__all__ = ["ModuleSource", "Rule", "RULES", "check_source", "get_rule", "register"]
+__all__ = [
+    "ModuleSource",
+    "Rule",
+    "RULES",
+    "check_source",
+    "get_rule",
+    "import_map",
+    "module_name_for_path",
+    "register",
+]
+
+
+def module_name_for_path(path: str) -> str:
+    """Dotted module name for a repo-relative POSIX path.
+
+    ``src/repro/serving/batcher.py`` -> ``repro.serving.batcher``;
+    ``tests/analysis/test_lint_cli.py`` -> ``tests.analysis.test_lint_cli``;
+    package ``__init__`` files name the package itself.
+    """
+    parts = path.split("/")
+    if parts and parts[0] == "src":
+        parts = parts[1:]
+    if parts and parts[-1].endswith(".py"):
+        parts[-1] = parts[-1][: -len(".py")]
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(part for part in parts if part)
+
+
+#: nodes that hold statements; expressions never contain a statement
+#: (``match_case`` is Python 3.10+)
+_BLOCKS = (ast.stmt, ast.excepthandler, getattr(ast, "match_case", ast.stmt))
+
+
+def _statements(node: ast.AST) -> Iterator[ast.stmt]:
+    """Every statement under ``node``, nested bodies included, without
+    descending into expressions."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, _BLOCKS):
+            if isinstance(child, ast.stmt):
+                yield child
+            yield from _statements(child)
+
+
+def import_map(tree: ast.Module, package: str) -> Dict[str, str]:
+    """Map local names to the dotted module/object they were bound from.
+
+    ``import numpy as np`` -> ``{"np": "numpy"}``;
+    ``from numpy import random as R`` -> ``{"R": "numpy.random"}``;
+    ``from ..errors import X`` inside ``repro.serving.batcher`` ->
+    ``{"X": "repro.errors.X"}`` (relative imports resolve against the
+    module's ``package``, here ``repro.serving``).
+    """
+    mapping: Dict[str, str] = {}
+    package_parts = package.split(".") if package else []
+    for node in _statements(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    mapping[alias.asname] = alias.name
+                else:
+                    root = alias.name.split(".")[0]
+                    mapping[root] = root
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                # `.` is the package itself, each extra dot one parent
+                up = len(package_parts) - (node.level - 1)
+                base = ".".join(package_parts[:max(up, 0)])
+                prefix = f"{base}.{node.module}" if node.module else base
+            else:
+                prefix = node.module or ""
+            if not prefix:
+                continue
+            for alias in node.names:
+                local = alias.asname or alias.name
+                mapping[local] = f"{prefix}.{alias.name}"
+    return mapping
 
 
 @dataclasses.dataclass
@@ -35,16 +112,25 @@ class ModuleSource:
         Parsed AST of ``text``.
     scope:
         ``"src"`` for library code, ``"tests"`` for test code.
+    imports:
+        The module's :func:`import_map`, built once at parse time and
+        shared by every rule.
     """
 
     path: str
     text: str
     tree: ast.Module
     scope: str
+    imports: Dict[str, str]
 
     @classmethod
     def parse(cls, text: str, path: str, scope: str) -> "ModuleSource":
-        return cls(path=path, text=text, tree=ast.parse(text), scope=scope)
+        tree = ast.parse(text)
+        package = module_name_for_path(path)
+        if not path.endswith("__init__.py"):
+            package = package.rpartition(".")[0]
+        return cls(path=path, text=text, tree=tree, scope=scope,
+                   imports=import_map(tree, package))
 
     def line(self, lineno: int) -> str:
         lines = self.text.splitlines()
@@ -71,9 +157,6 @@ class Rule:
     scopes: Tuple[str, ...] = ("src",)
     #: path substrings exempt from this rule (POSIX, repo-relative)
     exempt: Tuple[str, ...] = ()
-    #: project-wide rules get a ProjectContext and implement
-    #: ``check_project(module, project)`` instead of ``check``
-    needs_project: bool = False
 
     def applies_to(self, module: ModuleSource) -> bool:
         if module.scope not in self.scopes:
@@ -113,53 +196,22 @@ def check_source(
 ) -> List[Finding]:
     """Run one rule over a source snippet (the fixture-test entry point).
 
-    Project-wide rules see the snippet as a one-module project, which
-    is exactly what self-contained fixtures need.  Exemption comments
-    in the snippet are honoured, so the directive syntax is testable
-    through the same door.
+    Exemption comments in the snippet are honoured, so the directive
+    syntax is testable through the same door.
     """
+    from .config import filter_exempt
+
     module = ModuleSource.parse(code, path, scope)
     rule = get_rule(rule_id)
     if not rule.applies_to(module):
         return []
-    if rule.needs_project:
-        from .deep_rules import ProjectContext
-
-        findings = list(rule.check_project(module, ProjectContext([module])))
-    else:
-        findings = list(rule.check(module))
-    from .config import filter_exempt
-
-    kept, _ = filter_exempt(findings, module.text)
+    kept, _ = filter_exempt(list(rule.check(module)), module.text)
     return kept
 
 
 # ----------------------------------------------------------------------
 # Shared AST helpers
 # ----------------------------------------------------------------------
-def _import_map(tree: ast.Module) -> Dict[str, str]:
-    """Map local names to the dotted module/object they were bound from.
-
-    ``import numpy as np`` -> ``{"np": "numpy"}``;
-    ``from numpy import random as R`` -> ``{"R": "numpy.random"}``;
-    ``from numpy.random import rand`` -> ``{"rand": "numpy.random.rand"}``.
-    """
-    mapping: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    mapping[alias.asname] = alias.name
-                else:
-                    root = alias.name.split(".")[0]
-                    mapping[root] = root
-        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            for alias in node.names:
-                local = alias.asname or alias.name
-                mapping[local] = f"{node.module}.{alias.name}"
-    return mapping
-
-
 def _resolve(node: ast.AST, imports: Dict[str, str]) -> Optional[str]:
     """Dotted name of an expression through the import map, if any."""
     parts: List[str] = []
@@ -208,7 +260,7 @@ class SeededRngRule(Rule):
     })
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        imports = _import_map(module.tree)
+        imports = module.imports
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ImportFrom) and node.module and not node.level:
                 if node.module == "random":
@@ -300,7 +352,7 @@ class AtomicIoRule(Rule):
         return False  # dynamic mode: give the benefit of the doubt
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        imports = _import_map(module.tree)
+        imports = module.imports
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -530,7 +582,7 @@ class TelemetryClockRule(Rule):
     })
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        imports = _import_map(module.tree)
+        imports = module.imports
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -621,7 +673,7 @@ class StructuredLoggingRule(Rule):
     })
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        imports = _import_map(module.tree)
+        imports = module.imports
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -636,3 +688,301 @@ class StructuredLoggingRule(Rule):
                     "repro.telemetry.logging.get_logger so log lines are "
                     "structured JSON carrying the active trace_id/span_id",
                 )
+
+
+# ----------------------------------------------------------------------
+# Function index shared by ASYNC001 and EXC002
+# ----------------------------------------------------------------------
+@dataclasses.dataclass
+class _Function:
+    """One ``def`` of a module, nested ones included."""
+
+    qualname: str
+    node: Union[ast.FunctionDef, ast.AsyncFunctionDef]
+    #: innermost enclosing class: whose methods ``self.<name>()`` means
+    cls: Optional[ast.ClassDef]
+
+
+def _functions(tree: ast.Module) -> List[_Function]:
+    """Every function of ``tree`` in source order, parents first."""
+    found: List[_Function] = []
+
+    def visit(node: ast.AST, prefix: str,
+              cls: Optional[ast.ClassDef]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = f"{prefix}{child.name}"
+                found.append(_Function(qualname, child, cls))
+                visit(child, f"{qualname}.", cls)
+            elif isinstance(child, _BLOCKS):
+                visit(child, prefix, cls)
+
+    visit(tree, "", None)
+    return found
+
+
+def _walk_frame(node: ast.AST) -> Iterator[ast.AST]:
+    """Nodes of ``node``'s body that run in its own frame: nested
+    function and lambda bodies run later, elsewhere, and are skipped."""
+    nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    stack = [n for n in getattr(node, "body", []) if not isinstance(n, nested)]
+    while stack:
+        current = stack.pop()
+        yield current
+        stack.extend(child for child in ast.iter_child_nodes(current)
+                     if not isinstance(child, nested))
+
+
+# ----------------------------------------------------------------------
+# ASYNC001 — no blocking calls on the event loop
+# ----------------------------------------------------------------------
+_LOCK_TYPES = frozenset({
+    "threading.Lock", "threading.RLock", "threading.Semaphore",
+    "threading.BoundedSemaphore", "threading.Condition",
+})
+
+_BLOCKING_METHODS = frozenset(
+    [(lock, "acquire") for lock in _LOCK_TYPES]
+    + [("threading.Condition", "wait"), ("threading.Condition", "wait_for"),
+       ("threading.Event", "wait"), ("threading.Thread", "join"),
+       ("threading.Barrier", "wait")]
+    + [(q, m) for q in ("queue.Queue", "queue.SimpleQueue",
+                        "queue.LifoQueue", "queue.PriorityQueue")
+       for m in ("get", "put", "join")]
+    + [("socket.socket", m) for m in
+       ("recv", "recv_into", "recvfrom", "send", "sendall", "connect",
+        "accept")]
+    + [(c, m) for c in ("http.client.HTTPConnection",
+                        "http.client.HTTPSConnection")
+       for m in ("request", "getresponse", "connect")]
+)
+
+#: constructors whose results ASYNC001 types (receivers of the above)
+_TRACKED_TYPES = frozenset(rtype for rtype, _method in _BLOCKING_METHODS)
+
+
+def _receiver(expr: ast.expr) -> str:
+    """``"x"`` for a bare name, ``"self.x"`` for a ``self`` attribute
+    (the keys of ASYNC001's type map), else ``""``."""
+    if isinstance(expr, ast.Name):
+        return expr.id
+    if (isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name)
+            and expr.value.id == "self"):
+        return f"self.{expr.attr}"
+    return ""
+
+
+@register
+class AsyncBlockingCallRule(Rule):
+    """Blocking calls in coroutines and the helpers they call."""
+
+    id = "ASYNC001"
+    title = "blocking call on the event loop"
+    rationale = (
+        "A blocking call in an `async def` (nested ones included), or in "
+        "a same-module function a coroutine reaches through bare-name or "
+        "`self.` calls, stalls the event loop: every queued request, "
+        "heartbeat and timeout shares that loop.  Blocking work belongs "
+        "behind run_in_executor, whose callable argument this rule "
+        "deliberately does not follow."
+    )
+    scopes = ("src",)
+
+    _BLOCKING_CALLS = frozenset({
+        "time.sleep", "os.system", "os.wait", "os.popen",
+        "urllib.request.urlopen", "socket.create_connection",
+    })
+
+    def check(self, module: ModuleSource) -> Iterator[Finding]:
+        functions = _functions(module.tree)
+        top = {fn.node.name: fn for fn in functions
+               if fn.qualname == fn.node.name}
+        methods = {
+            (id(fn.cls), fn.node.name): fn
+            for fn in functions
+            if fn.cls is not None and any(fn.node is n for n in fn.cls.body)
+        }
+        attr_types: Dict[int, Dict[str, str]] = {}
+        reported = set()
+        for root in functions:
+            if not isinstance(root.node, ast.AsyncFunctionDef):
+                continue
+            frontier, seen = [root], {id(root.node)}
+            while frontier:
+                fn = frontier.pop()
+                suffix = ("" if fn is root
+                          else f" (reachable from async {root.qualname})")
+                types: Dict[str, str] = {}
+                if fn.cls is not None:
+                    if id(fn.cls) not in attr_types:
+                        attr_types[id(fn.cls)] = {
+                            key: rtype for key, rtype in
+                            self._types(ast.walk(fn.cls), module.imports)
+                            .items() if key.startswith("self.")
+                        }
+                    types.update(attr_types[id(fn.cls)])
+                types.update(self._types(_walk_frame(fn.node),
+                                         module.imports))
+                for node, what in self._blocking(fn.node, module.imports,
+                                                 types):
+                    if id(node) not in reported:
+                        reported.add(id(node))
+                        yield module.finding(
+                            self.id, node,
+                            f"{what} blocks the event loop in "
+                            f"{fn.qualname}{suffix}",
+                        )
+                for node in _walk_frame(fn.node):
+                    callee = self._callee(node, fn, top, methods)
+                    if callee is not None and id(callee.node) not in seen:
+                        seen.add(id(callee.node))
+                        frontier.append(callee)
+
+    @staticmethod
+    def _types(nodes: Iterable[ast.AST],
+               imports: Dict[str, str]) -> Dict[str, str]:
+        """Receivers bound to tracked constructors, keyed as
+        :func:`_receiver` spells them: ``x = threading.Lock()``,
+        ``self.x = queue.Queue()``, ``with socket.socket() as x``."""
+        types: Dict[str, str] = {}
+        for node in nodes:
+            pairs: List[Tuple[ast.expr, ast.expr]] = []
+            if isinstance(node, ast.Assign):
+                pairs = [(target, node.value) for target in node.targets]
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                pairs = [(node.target, node.value)]
+            elif isinstance(node, (ast.With, ast.AsyncWith)):
+                pairs = [(item.optional_vars, item.context_expr)
+                         for item in node.items
+                         if item.optional_vars is not None]
+            for target, value in pairs:
+                key = _receiver(target)
+                if key and isinstance(value, ast.Call):
+                    rtype = _resolve(value.func, imports)
+                    if rtype in _TRACKED_TYPES:
+                        types.setdefault(key, rtype)
+        return types
+
+    def _blocking(
+        self, func: ast.AST, imports: Dict[str, str], types: Dict[str, str]
+    ) -> Iterator[Tuple[ast.AST, str]]:
+        for node in _walk_frame(func):
+            if isinstance(node, ast.Call):
+                dotted = _resolve(node.func, imports)
+                if dotted is not None and (
+                    dotted in self._BLOCKING_CALLS
+                    or dotted.startswith("subprocess.")
+                ):
+                    yield node, f"blocking call {dotted}"
+                elif isinstance(node.func, ast.Attribute):
+                    rtype = types.get(_receiver(node.func.value))
+                    if (rtype, node.func.attr) in _BLOCKING_METHODS:
+                        yield node, f"blocking call {rtype}.{node.func.attr}"
+            elif isinstance(node, ast.With):
+                for item in node.items:
+                    expr = item.context_expr
+                    rtype = (_resolve(expr.func, imports)
+                             if isinstance(expr, ast.Call)
+                             else types.get(_receiver(expr)))
+                    if rtype in _LOCK_TYPES:
+                        yield node, f"`with` on {rtype}"
+
+    @staticmethod
+    def _callee(
+        node: ast.AST,
+        caller: _Function,
+        top: Dict[str, _Function],
+        methods: Dict[Tuple[int, str], _Function],
+    ) -> Optional[_Function]:
+        """The same-module sync function a call runs on this frame:
+        ``name()`` for a module-level function, ``self.name()`` for a
+        method of the caller's class."""
+        if not isinstance(node, ast.Call):
+            return None
+        func = node.func
+        callee: Optional[_Function] = None
+        if isinstance(func, ast.Name):
+            callee = top.get(func.id)
+        elif (isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "self" and caller.cls is not None):
+            callee = methods.get((id(caller.cls), func.attr))
+        if callee is None or isinstance(callee.node, ast.AsyncFunctionDef):
+            return None  # coroutines are roots of their own
+        return callee
+
+
+# ----------------------------------------------------------------------
+# EXC002 — broad handlers must not swallow
+# ----------------------------------------------------------------------
+@register
+class SwallowedExceptionRule(Rule):
+    """``except Exception`` must re-raise, wrap, hand on or store."""
+
+    id = "EXC002"
+    title = "broad handler swallows the exception"
+    rationale = (
+        "`except Exception` (or bare / BaseException) may only catch "
+        "broadly if it re-raises, wraps into the repro.errors "
+        "taxonomy, fails a waiter, or stores the exception object for "
+        "a later observer. Formatting the exception into a string and "
+        "moving on erases the failure for every caller above. "
+        "Intentional conversion boundaries (HTTP 500, per-model load "
+        "isolation) carry a `# lint: exempt EXC002 <reason>` comment."
+    )
+    scopes = ("src",)
+
+    _STRINGIFIERS = frozenset({"str", "repr", "type", "format", "print"})
+
+    def check(self, module: ModuleSource) -> Iterator[Finding]:
+        frames = [("<module>", module.tree)] + [
+            (fn.qualname, fn.node) for fn in _functions(module.tree)
+        ]
+        for qualname, frame in frames:
+            for node in _walk_frame(frame):
+                if (isinstance(node, ast.ExceptHandler)
+                        and self._catch_all(node)
+                        and not self._handled(node)):
+                    yield module.finding(
+                        self.id, node,
+                        "broad handler neither re-raises, wraps, fails a "
+                        f"waiter, nor stores the exception in {qualname}",
+                    )
+
+    @staticmethod
+    def _catch_all(handler: ast.ExceptHandler) -> bool:
+        if handler.type is None:
+            return True
+        types = (handler.type.elts if isinstance(handler.type, ast.Tuple)
+                 else [handler.type])
+        return any(
+            (t.id if isinstance(t, ast.Name)
+             else t.attr if isinstance(t, ast.Attribute) else "")
+            in ("Exception", "BaseException")
+            for t in types
+        )
+
+    @classmethod
+    def _handled(cls, handler: ast.ExceptHandler) -> bool:
+        body = list(_walk_frame(handler))
+        if any(isinstance(node, ast.Raise) for node in body):
+            return True
+        name = handler.name
+        if name is None:
+            return False
+        for node in body:
+            if isinstance(node, ast.Call):
+                if (isinstance(node.func, ast.Name)
+                        and node.func.id in cls._STRINGIFIERS):
+                    continue
+                args = list(node.args) + [kw.value for kw in node.keywords]
+                if any(isinstance(a, ast.Name) and a.id == name
+                       for a in args):
+                    return True
+            if (isinstance(node, (ast.Assign, ast.AnnAssign))
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == name):
+                return True
+        return False

@@ -1,21 +1,13 @@
-"""File discovery, rule dispatch, baselines and report rendering.
+"""File discovery, rule dispatch and report rendering.
 
 The runner walks ``src/`` and ``tests/`` (or any explicit path list),
-parses every module **once**, classifies each as library or test code,
-and applies every registered rule whose scope matches.  Single-module
-rules see one :class:`ModuleSource` at a time; project-wide rules
-(``needs_project``) additionally get a
-:class:`~.deep_rules.ProjectContext` — the symbol table and call graph
-over the whole run — built lazily only when such a rule is selected.
-
-Findings then pass two filters: ``# lint: exempt RULE <reason>``
-comments (see :mod:`.config`) and an optional baseline file.  A
-baseline is a JSON file of finding fingerprints (rule + file + line
-text); ``repro lint --write-baseline`` snapshots the current findings,
-and subsequent runs with ``--baseline`` suppress exactly those, so the
-gate can land before the last violation is fixed.  The shipped tree
-needs no baseline — the suite asserts it lints clean (see
-``tests/analysis/test_lint_selfhost.py``).
+parses every module **once** (source, AST and import map, see
+:class:`~.rules.ModuleSource`), classifies each as library or test
+code, and applies every registered rule whose scope matches.  Findings
+covered by a ``# lint: exempt RULE <reason>`` comment (see
+:mod:`.config`) are dropped and counted.  There is no baseline: the
+shipped tree lints clean (see ``tests/analysis/test_lint_selfhost.py``),
+so every finding is a regression.
 """
 
 from __future__ import annotations
@@ -23,15 +15,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ...errors import ConfigurationError
-from ...store.atomic import atomic_write_json
 from .config import filter_exempt
 from .findings import Finding
-from .rules import RULES, ModuleSource, Rule
-from . import deep_rules  # noqa: F401  (registers the project-wide rules)
-from .deep_rules import ProjectContext
+from .rules import RULES, ModuleSource, Rule, get_rule
 from .sarif import render_sarif
 
 __all__ = [
@@ -39,12 +28,10 @@ __all__ = [
     "ModuleSource",
     "lint_file",
     "lint_paths",
-    "load_baseline",
     "render_json",
     "render_sarif",
     "render_text",
     "run_lint",
-    "write_baseline",
 ]
 
 #: directories never descended into
@@ -59,9 +46,7 @@ class LintReport:
     Attributes
     ----------
     findings:
-        Unsuppressed findings, sorted by (path, line, rule).
-    suppressed:
-        How many findings the baseline filtered out.
+        Unexempted findings, sorted by (path, line, rule).
     exempted:
         How many findings ``# lint: exempt`` comments filtered out.
     files:
@@ -71,7 +56,6 @@ class LintReport:
     """
 
     findings: List[Finding]
-    suppressed: int = 0
     exempted: int = 0
     files: int = 0
     errors: List[str] = dataclasses.field(default_factory=list)
@@ -136,21 +120,14 @@ def _check_modules(
     rules: Sequence[Rule],
 ) -> Tuple[List[Finding], int]:
     """Apply ``rules`` to parsed ``modules``: (findings, exempted)."""
-    project: Optional[ProjectContext] = None
-    if any(rule.needs_project for rule in rules):
-        project = ProjectContext(modules)
     findings: List[Finding] = []
     exempted = 0
     for module in modules:
-        per_module: List[Finding] = []
-        for rule in rules:
-            if not rule.applies_to(module):
-                continue
-            if rule.needs_project:
-                assert project is not None
-                per_module.extend(rule.check_project(module, project))
-            else:
-                per_module.extend(rule.check(module))
+        per_module = [
+            finding
+            for rule in rules if rule.applies_to(module)
+            for finding in rule.check(module)
+        ]
         kept, dropped = filter_exempt(per_module, module.text)
         findings.extend(kept)
         exempted += dropped
@@ -163,11 +140,7 @@ def lint_file(
     root: str,
     rules: Optional[Sequence[Rule]] = None,
 ) -> List[Finding]:
-    """Run all (or the given) rules over one file.
-
-    Project-wide rules see a one-module project here: cross-module
-    resolution needs :func:`lint_paths` over the whole tree.
-    """
+    """Run all (or the given) rules over one file."""
     modules, errors, _files = _parse_modules([path], root)
     if errors:
         raise SyntaxError(errors[0])
@@ -181,7 +154,7 @@ def lint_paths(
     root: Optional[str] = None,
     rules: Optional[Sequence[Rule]] = None,
 ) -> LintReport:
-    """Lint every Python file under ``paths`` (no baseline filtering)."""
+    """Lint every Python file under ``paths``."""
     root = root if root is not None else os.getcwd()
     modules, errors, files = _parse_modules(paths, root)
     selected = list(rules if rules is not None else RULES.values())
@@ -190,34 +163,12 @@ def lint_paths(
                       exempted=exempted)
 
 
-def load_baseline(path: str) -> Set[str]:
-    """Read a baseline file into a set of suppression fingerprints."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or not isinstance(
-        data.get("fingerprints"), list
-    ):
-        raise ConfigurationError(
-            f"baseline {path!r} must be {{'fingerprints': [...]}}"
-        )
-    return set(data["fingerprints"])
-
-
-def write_baseline(path: str, findings: Sequence[Finding]) -> None:
-    """Snapshot ``findings`` as a baseline (atomic write)."""
-    atomic_write_json(path, {
-        "version": 1,
-        "fingerprints": sorted({f.fingerprint() for f in findings}),
-    })
-
-
 def run_lint(
     paths: Optional[Sequence[str]] = None,
     root: Optional[str] = None,
-    baseline: Optional[str] = None,
     rules: Optional[Sequence[str]] = None,
 ) -> LintReport:
-    """The full pipeline: discover, check, baseline-filter.
+    """The full pipeline: discover and check.
 
     Parameters
     ----------
@@ -226,8 +177,6 @@ def run_lint(
         ``root`` when they exist).
     root:
         Repo root for relative paths (default: cwd).
-    baseline:
-        Optional baseline file; matching findings are suppressed.
     rules:
         Optional rule-id subset (default: all registered rules).
     """
@@ -240,18 +189,9 @@ def run_lint(
             raise ConfigurationError(
                 f"no src/ or tests/ under {root!r}; pass explicit paths"
             )
-    selected: Optional[List[Rule]] = None
-    if rules is not None:
-        from .rules import get_rule
-
-        selected = [get_rule(rule_id) for rule_id in rules]
-    report = lint_paths(paths, root=root, rules=selected)
-    if baseline is not None:
-        known = load_baseline(baseline)
-        kept = [f for f in report.findings if f.fingerprint() not in known]
-        report.suppressed = len(report.findings) - len(kept)
-        report.findings = kept
-    return report
+    selected = (None if rules is None
+                else [get_rule(rule_id) for rule_id in rules])
+    return lint_paths(paths, root=root, rules=selected)
 
 
 def render_text(report: LintReport) -> str:
@@ -266,7 +206,6 @@ def render_text(report: LintReport) -> str:
         f"checked {report.files} file(s): "
         + (f"{len(report.findings)} finding(s) ({summary})"
            if report.findings else "clean")
-        + (f", {report.suppressed} baselined" if report.suppressed else "")
         + (f", {report.exempted} exempted" if report.exempted else "")
     )
     return "\n".join(lines)
@@ -278,7 +217,6 @@ def render_json(report: LintReport) -> str:
         "findings": [f.to_json() for f in report.findings],
         "errors": report.errors,
         "files": report.files,
-        "suppressed": report.suppressed,
         "exempted": report.exempted,
         "clean": report.clean,
     }, indent=2, sort_keys=True) + "\n"

@@ -4,8 +4,8 @@ SARIF (Static Analysis Results Interchange Format) is what CI
 annotation surfaces ingest: one ``run`` with a ``tool.driver``
 describing the rules, and one ``result`` per finding carrying the
 rule id, message, physical location and a stable partial fingerprint
-(the same fingerprint the baseline machinery uses, so a finding keeps
-its identity across renderers).
+(:meth:`~.findings.Finding.fingerprint`, also in the JSON report, so a
+finding keeps its identity across renderers).
 
 Only the subset of the spec that consumers actually read is emitted —
 schema/version headers, rule metadata, results — which keeps the

@@ -175,11 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--format", choices=["text", "json", "sarif"],
                       default="text", dest="output_format",
                       help="report format (sarif for CI annotation)")
-    lint.add_argument("--baseline", default=None, metavar="FILE",
-                      help="suppress findings fingerprinted in FILE")
-    lint.add_argument("--write-baseline", default=None, metavar="FILE",
-                      help="snapshot current findings as a baseline and "
-                           "exit 0")
     lint.add_argument("--rules", nargs="+", default=None, metavar="ID",
                       help="run only these rule ids (e.g. RNG001 IO001)")
     lint.add_argument("--list-rules", action="store_true",
@@ -433,7 +428,6 @@ def _run_lint(args: argparse.Namespace) -> "tuple[str, int]":
         render_sarif,
         render_text,
         run_lint,
-        write_baseline,
     )
 
     if args.list_rules:
@@ -443,19 +437,12 @@ def _run_lint(args: argparse.Namespace) -> "tuple[str, int]":
             lines.append(f"{rule.id}  [{scopes}]  {rule.title}")
             lines.append(f"    {rule.rationale}")
         return "\n".join(lines), 0
-    report = run_lint(
-        paths=args.paths or None,
-        root=args.root,
-        baseline=args.baseline,
-        rules=args.rules,
-    )
-    if args.write_baseline:
-        write_baseline(args.write_baseline, report.findings)
-        return (
-            f"wrote baseline with {len(report.findings)} fingerprint(s) "
-            f"to {args.write_baseline}",
-            0,
-        )
+    unknown = [rule_id for rule_id in args.rules or () if rule_id not in RULES]
+    if unknown:
+        return (f"repro lint: unknown rule id(s) {', '.join(unknown)}; "
+                f"valid ids: {', '.join(sorted(RULES))}", 2)
+    report = run_lint(paths=args.paths or None, root=args.root,
+                      rules=args.rules)
     renderers = {"json": render_json, "sarif": render_sarif,
                  "text": render_text}
     text = renderers[args.output_format](report)

@@ -16,12 +16,10 @@ the server's ``Retry-After`` hint and bounded by both an attempt count
 and a total backoff budget.  Non-idempotent requests must not reuse
 this machinery.
 
-This module is **sync-only by declaration** — it is listed in
-``repro.analysis.lint.config.SYNC_ONLY_MODULES``, so the ASYNC001
-analyzer neither roots in it nor traverses into it.  The blocking
-``time.sleep`` retry backoff in :func:`predict` is therefore in scope
-explicitly: this client runs in plain threads (tests, CI, the load
-generator), never on an asyncio event loop.  Do not call it from
+This module is **sync-only**: it defines no ``async def``, so the
+blocking ``time.sleep`` retry backoff in :func:`predict` is outside
+ASYNC001's scope.  This client runs in plain threads (tests, CI, the
+load generator), never on an asyncio event loop.  Do not call it from
 ``async def`` code; use the daemon's in-process API instead.
 """
 

@@ -1,27 +1,41 @@
-"""Per-rule fixtures for the project-wide dataflow rules.
+"""Fixtures for the two rules that follow control flow inside a module.
 
-Mirrors ``test_lint_rules.py``: every deep rule ships positive
-fixtures (the violation fires) and negative fixtures (the sanctioned
-idiom stays clean), so a change to the CFG builder, the call graph or
-a rule's event model that shifts behaviour fails here first.
+ASYNC001 follows calls from coroutines to same-module helpers; EXC002
+inspects what a broad handler does with the exception.  Besides the
+synthetic fixtures, each rule is pinned on the shipped sources: bugs
+seeded into ``serving/``, ``reram/`` and ``store/`` must fire, and the
+sanctioned code next to them must stay silent.
 """
 
+import os
 import textwrap
 
-from repro.analysis.lint import DEEP_RULE_IDS, RULES, check_source
+from repro.analysis.lint import check_source
+
+REPO_ROOT = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
+)
 
 
 def run(code, rule_id, **kwargs):
     return check_source(textwrap.dedent(code), rule_id, **kwargs)
 
 
-class TestDeepRegistry:
-    def test_deep_rules_registered(self):
-        assert set(RULES) >= set(DEEP_RULE_IDS)
+def seeded(rel_path, rule_id, *edits):
+    """Findings of ``rule_id`` on a shipped module after the
+    ``(marker, replacement)`` edits; each marker must occur once."""
+    with open(os.path.join(REPO_ROOT, rel_path), encoding="utf-8") as fh:
+        source = fh.read()
+    for marker, replacement in edits:
+        assert source.count(marker) == 1, (
+            f"{rel_path} changed shape; re-seat the seeded bug"
+        )
+        source = source.replace(marker, replacement)
+    return check_source(source, rule_id, path=rel_path)
 
-    def test_deep_rules_need_project(self):
-        for rule_id in DEEP_RULE_IDS:
-            assert RULES[rule_id].needs_project
+
+#: the seeded sleeps need ``time`` imported
+IMPORT_TIME = ("\nimport asyncio\n", "\nimport asyncio\nimport time\n")
 
 
 class TestAsync001:
@@ -117,255 +131,67 @@ class TestAsync001:
         )
         assert findings == []
 
-    def test_sync_only_modules_are_out_of_scope(self):
+    def test_flags_local_lock_acquire(self):
         findings = run(
             """
-            import time
+            import threading
 
-            async def poll():
-                time.sleep(1.0)
+            async def handler():
+                lock = threading.Lock()
+                lock.acquire()
             """,
             "ASYNC001",
-            path="src/repro/serving/client.py",
-        )
-        assert findings == []
-
-
-class TestAsync002:
-    def test_flags_branch_that_skips_resolution(self):
-        findings = run(
-            """
-            class Batcher:
-                def flush(self, batch, ok):
-                    if ok:
-                        for item in batch:
-                            item.future.set_result(1)
-            """,
-            "ASYNC002",
         )
         assert len(findings) == 1
-        assert "'batch'" in findings[0].message
+        assert "threading.Lock.acquire" in findings[0].message
 
-    def test_allows_resolver_call_on_other_branch(self):
-        findings = run(
-            """
-            class Batcher:
-                def fail(self, batch, exc):
-                    for item in batch:
-                        item.future.set_exception(exc)
+    def test_sync_client_retry_sleep_is_silent(self):
+        # The client's retry backoff sleeps, but nothing in client.py is
+        # a coroutine, so no event loop is in reach.
+        rel = "src/repro/serving/client.py"
+        with open(os.path.join(REPO_ROOT, rel), encoding="utf-8") as fh:
+            source = fh.read()
+        assert "time.sleep(delay)" in source
+        assert check_source(source, "ASYNC001", path=rel) == []
 
-                def flush(self, batch, ok, exc):
-                    if ok:
-                        for item in batch:
-                            item.future.set_result(1)
-                    else:
-                        self.fail(batch, exc)
-            """,
-            "ASYNC002",
+
+class TestAsync001SeededBugs:
+    """Sleeps seeded into the serving layer, one per reach path."""
+
+    def test_async_method(self):
+        findings = seeded(
+            "src/repro/serving/batcher.py", "ASYNC001", IMPORT_TIME,
+            ("            batch = self._take_batch()\n",
+             "            time.sleep(0.01)\n"
+             "            batch = self._take_batch()\n"),
         )
-        assert findings == []
+        assert [f.message for f in findings] == [
+            "blocking call time.sleep blocks the event loop in "
+            "MicroBatcher._run"
+        ]
 
-    def test_flags_leak_through_exception_edge(self):
-        findings = run(
-            """
-            class Batcher:
-                async def flush(self, batch):
-                    try:
-                        rows = await self.compute()
-                        for item in batch:
-                            item.future.set_result(rows)
-                    except Exception:
-                        return
-
-                async def compute(self):
-                    return []
-            """,
-            "ASYNC002",
+    def test_same_module_sync_helper(self):
+        # _run -> self._take_batch() -> self._shed_expired(...)
+        findings = seeded(
+            "src/repro/serving/batcher.py", "ASYNC001", IMPORT_TIME,
+            ("        self.shed_expired_total += 1\n",
+             "        time.sleep(0.01)\n"
+             "        self.shed_expired_total += 1\n"),
         )
         assert len(findings) == 1
-        assert "'batch'" in findings[0].message
-
-    def test_allows_handler_that_fails_the_batch(self):
-        findings = run(
-            """
-            class Batcher:
-                def fail(self, batch, exc):
-                    for item in batch:
-                        item.future.set_exception(exc)
-
-                async def flush(self, batch):
-                    try:
-                        rows = await self.compute()
-                        for item in batch:
-                            item.future.set_result(rows)
-                    except Exception as exc:
-                        self.fail(batch, exc)
-
-                async def compute(self):
-                    return []
-            """,
-            "ASYNC002",
+        assert "MicroBatcher._shed_expired" in findings[0].message
+        assert "reachable from async MicroBatcher._run" in (
+            findings[0].message
         )
-        assert findings == []
 
-    def test_allows_done_guarded_resolution(self):
-        findings = run(
-            """
-            class Batcher:
-                def fail(self, batch, exc):
-                    for item in batch:
-                        if not item.future.done():
-                            item.future.set_exception(exc)
-            """,
-            "ASYNC002",
-        )
-        assert findings == []
-
-    def test_allows_emptiness_guard(self):
-        findings = run(
-            """
-            class Batcher:
-                async def run_once(self, batch):
-                    if not batch:
-                        return
-                    await self.flush(batch)
-
-                async def flush(self, batch):
-                    for item in batch:
-                        item.future.set_result(1)
-            """,
-            "ASYNC002",
-        )
-        assert findings == []
-
-    def test_allows_ownership_transfer_into_container(self):
-        findings = run(
-            """
-            class Router:
-                def route(self, item, ok, table, key):
-                    if ok:
-                        item.set_result(1)
-                    else:
-                        table[key] = item
-            """,
-            "ASYNC002",
-        )
-        assert findings == []
-
-    def test_allows_cancel_as_the_other_path(self):
-        findings = run(
-            """
-            class Router:
-                def drop(self, item, ok):
-                    if ok:
-                        item.set_result(1)
-                    else:
-                        item.cancel()
-            """,
-            "ASYNC002",
-        )
-        assert findings == []
-
-    def test_future_cancel_counts_as_resolution(self):
-        findings = run(
-            """
-            class Batcher:
-                def abort(self, batch):
-                    for item in batch:
-                        if not item.future.done():
-                            item.future.cancel()
-            """,
-            "ASYNC002",
-        )
-        assert findings == []
-
-
-class TestConc001:
-    def test_flags_bound_method_of_lock_holding_class(self):
-        findings = run(
-            """
-            import threading
-            from concurrent.futures import ProcessPoolExecutor
-
-            class Worker:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def step(self, x):
-                    with self._lock:
-                        return x
-
-                def run_all(self, xs):
-                    pool = ProcessPoolExecutor()
-                    futs = []
-                    for x in xs:
-                        futs.append(pool.submit(self.step, x))
-                    return futs
-            """,
-            "CONC001",
+    def test_nested_async_def(self):
+        findings = seeded(
+            "src/repro/serving/daemon.py", "ASYNC001", IMPORT_TIME,
+            ("                await asyncio.sleep(0.01)\n",
+             "                time.sleep(0.01)\n"),
         )
         assert len(findings) == 1
-        assert "threading.Lock" in findings[0].message
-
-    def test_flags_lambda_capturing_a_lock(self):
-        findings = run(
-            """
-            import threading
-            from concurrent.futures import ProcessPoolExecutor
-
-            def run(xs):
-                lock = threading.Lock()
-                pool = ProcessPoolExecutor()
-                futs = []
-                for x in xs:
-                    futs.append(pool.submit(lambda v: (lock, v), x))
-                return futs
-            """,
-            "CONC001",
-        )
-        assert len(findings) == 1
-        assert "free variable 'lock'" in findings[0].message
-
-    def test_allows_module_level_function(self):
-        findings = run(
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def square(x):
-                return x * x
-
-            def run(xs):
-                with ProcessPoolExecutor() as pool:
-                    return list(pool.map(square, xs))
-            """,
-            "CONC001",
-        )
-        assert findings == []
-
-    def test_thread_pool_is_not_policed(self):
-        # Threads share the address space; nothing is pickled.
-        findings = run(
-            """
-            import threading
-            from concurrent.futures import ThreadPoolExecutor
-
-            class Worker:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def step(self, x):
-                    return x
-
-                def run_all(self, xs):
-                    pool = ThreadPoolExecutor()
-                    futs = []
-                    for x in xs:
-                        futs.append(pool.submit(self.step, x))
-                    return futs
-            """,
-            "CONC001",
-        )
-        assert findings == []
+        assert "ServingDaemon.run_forever.body" in findings[0].message
 
 
 class TestExc002:
@@ -466,107 +292,24 @@ class TestExc002:
         assert findings == []
 
 
-class TestRes001:
-    def test_flags_open_without_with(self):
-        findings = run(
-            """
-            def f(path):
-                fh = open(path)
-                data = fh.read()
-                return data
-            """,
-            "RES001",
+class TestExc002SeededBugs:
+    """Swallows seeded into handlers that today wrap or re-raise."""
+
+    def test_ir_drop_factorization(self):
+        findings = seeded(
+            "src/repro/reram/nonideal.py", "EXC002",
+            ('            raise CircuitError(f"MNA factorization failed: '
+             '{exc}") from exc\n',
+             "            return None\n"),
         )
         assert len(findings) == 1
-        assert "open()" in findings[0].message
+        assert "IRDropSolver._factorization" in findings[0].message
 
-    def test_allows_with_block(self):
-        findings = run(
-            """
-            def f(path):
-                with open(path) as fh:
-                    return fh.read()
-            """,
-            "RES001",
-        )
-        assert findings == []
-
-    def test_allows_try_finally_close(self):
-        findings = run(
-            """
-            def f(path):
-                fh = open(path)
-                try:
-                    return fh.read()
-                finally:
-                    fh.close()
-            """,
-            "RES001",
-        )
-        assert findings == []
-
-    def test_allows_returning_the_handle(self):
-        findings = run(
-            """
-            def f(path):
-                return open(path)
-            """,
-            "RES001",
-        )
-        assert findings == []
-
-    def test_allows_storing_the_handle_on_self(self):
-        findings = run(
-            """
-            class Holder:
-                def connect(self, path):
-                    self.fh = open(path)
-            """,
-            "RES001",
-        )
-        assert findings == []
-
-    def test_flags_acquire_without_finally_release(self):
-        findings = run(
-            """
-            import threading
-
-            def f():
-                lock = threading.Lock()
-                lock.acquire()
-                work()
-                lock.release()
-            """,
-            "RES001",
+    def test_atomic_write_cleanup(self):
+        findings = seeded(
+            "src/repro/store/atomic.py", "EXC002",
+            ("            pass\n        raise\n",
+             "            pass\n        return None\n"),
         )
         assert len(findings) == 1
-        assert "acquire" in findings[0].message
-
-    def test_allows_acquire_with_finally_release(self):
-        findings = run(
-            """
-            import threading
-
-            def f():
-                lock = threading.Lock()
-                lock.acquire()
-                try:
-                    work()
-                finally:
-                    lock.release()
-            """,
-            "RES001",
-        )
-        assert findings == []
-
-    def test_store_layer_is_exempt(self):
-        findings = run(
-            """
-            def f(path):
-                fh = open(path)
-                return fh.read()
-            """,
-            "RES001",
-            path="src/repro/store/blob.py",
-        )
-        assert findings == []
+        assert "atomic_write_bytes" in findings[0].message

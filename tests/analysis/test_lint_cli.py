@@ -77,37 +77,6 @@ class TestJsonOutput:
         assert payload["clean"] is True
 
 
-class TestBaseline:
-    def test_write_then_suppress(self, tree, capsys):
-        baseline = tree / "lint-baseline.json"
-        code = lint(
-            str(tree / "src"), "--write-baseline", str(baseline), root=tree
-        )
-        assert baseline.exists()
-        capsys.readouterr()
-
-        code = lint(
-            str(tree / "src"), "--baseline", str(baseline), root=tree
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "baselined" in out
-
-    def test_new_violation_escapes_baseline(self, tree, capsys):
-        baseline = tree / "lint-baseline.json"
-        lint(str(tree / "src"), "--write-baseline", str(baseline), root=tree)
-        capsys.readouterr()
-
-        extra = tree / "src" / "repro" / "fresh.py"
-        extra.write_text("import random\nv = random.random()\n")
-        code = lint(
-            str(tree / "src"), "--baseline", str(baseline), root=tree
-        )
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "fresh.py" in out
-
-
 class TestRuleSelection:
     def test_single_rule_filter(self, tree, capsys):
         code = lint(
@@ -117,6 +86,16 @@ class TestRuleSelection:
         assert code == 1
         assert "UNIT001" in out
         assert "RNG001" not in out
+
+    def test_unknown_rule_is_a_usage_error(self, tree, capsys):
+        code = lint(str(tree / "src"), "--rules", "NOPE001", root=tree)
+        captured = capsys.readouterr()
+        lines = (captured.out + captured.err).strip().splitlines()
+        assert code == 2
+        assert len(lines) == 1, lines
+        assert "NOPE001" in lines[0]
+        for rule_id in ("ASYNC001", "EXC002", "RNG001"):
+            assert rule_id in lines[0]
 
     def test_list_rules_catalogue(self, tree, capsys):
         code = main(["lint", "--list-rules"])

@@ -9,7 +9,8 @@ import textwrap
 
 import pytest
 
-from repro.analysis.lint import RULES, check_source, get_rule
+from repro.analysis.lint import RULES, ModuleSource, check_source, get_rule
+from repro.analysis.lint.rules import module_name_for_path
 from repro.errors import ConfigurationError
 
 
@@ -21,7 +22,7 @@ class TestRegistry:
     def test_all_rules_registered(self):
         assert set(RULES) >= {
             "RNG001", "IO001", "UNIT001", "TEST001", "ERR001", "TEL001",
-            "OBS001",
+            "OBS001", "ASYNC001", "EXC002",
         }
 
     def test_rules_have_metadata(self):
@@ -557,3 +558,37 @@ class TestFindingContract:
         assert payload["rule"] == "UNIT001"
         assert payload["line"] == finding.line
         assert payload["fingerprint"] == finding.fingerprint()
+
+
+class TestModuleSource:
+    def test_src_prefix_stripped(self):
+        assert (module_name_for_path("src/repro/serving/batcher.py")
+                == "repro.serving.batcher")
+
+    def test_tests_keep_their_prefix(self):
+        assert (module_name_for_path("tests/analysis/test_lint_cli.py")
+                == "tests.analysis.test_lint_cli")
+
+    def test_init_names_the_package(self):
+        assert module_name_for_path("src/repro/__init__.py") == "repro"
+
+    def test_relative_import_resolution(self):
+        module = ModuleSource.parse(
+            "from .b import helper\n"
+            "from ..errors import ShapeError as SE\n"
+            "from . import units\n"
+            "import numpy as np\n",
+            "src/repro/pkg/a.py", "src",
+        )
+        assert module.imports == {
+            "helper": "repro.pkg.b.helper",
+            "SE": "repro.errors.ShapeError",
+            "units": "repro.pkg.units",
+            "np": "numpy",
+        }
+
+    def test_relative_import_in_package_init(self):
+        module = ModuleSource.parse(
+            "from .b import helper\n", "src/repro/pkg/__init__.py", "src",
+        )
+        assert module.imports == {"helper": "repro.pkg.b.helper"}

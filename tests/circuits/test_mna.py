@@ -103,8 +103,9 @@ class TestValidation:
         c.add_voltage_source("in", 1.0)
         c.add_resistor("in", "gnd", 1e3)
         c.add_resistor("float_a", "float_b", 1e3)
-        with pytest.raises(CircuitError):
+        with pytest.raises(CircuitError, match="MNA solve failed") as raised:
             c.solve()
+        assert raised.value.__cause__ is not None
 
     def test_rejects_nonpositive_resistor(self):
         with pytest.raises(CircuitError):

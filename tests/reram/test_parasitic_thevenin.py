@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import CircuitParameters
 from repro.core.mvm import MVMMode, SingleSpikeMVM
-from repro.errors import ShapeError
+from repro.errors import CircuitError, ShapeError
 from repro.reram.crossbar import CrossbarArray
 from repro.reram.nonideal import IRDropSolver, ParasiticThevenin, WireParasitics
 
@@ -98,3 +98,22 @@ class TestIRAwareMVM:
         assert np.all(
             aware.output_times(times) <= plain.output_times(times) + 1e-15
         )
+
+
+class TestSingularSystems:
+    """A singular IR-drop system is a CircuitError, never a swallowed
+    failure or a raw scipy exception (the generic MNA solver's case is
+    ``tests/circuits/test_mna.py::TestValidation``)."""
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @pytest.mark.parametrize("n, message", [
+        (2, "non-finite"),  # dense LU: scipy only warns; the solve catches it
+        (18, "factorization failed"),  # > 600 unknowns: sparse LU raises
+    ])
+    def test_ir_drop_solver(self, n, message):
+        # No cells conduct, so the open-foot Thevenin probe leaves every
+        # bitline node floating.
+        floating = CrossbarArray(n, n).with_conductances(np.zeros((n, n)))
+        solver = IRDropSolver(floating, WireParasitics())
+        with pytest.raises(CircuitError, match=message):
+            solver.column_thevenin()

@@ -20,8 +20,18 @@ from .conftest import serial_labels
 from .test_resilience import FakeClock
 
 
+#: Every await on a waiter is bounded.  A waiter the batcher forgets to
+#: resolve then fails its test within seconds instead of hanging the
+#: suite; these tests are the waiter contract's guard.
+WAIT_S = 5.0
+
+
 def _run(coro):
     return asyncio.run(coro)
+
+
+def _bounded(awaitable, timeout=WAIT_S):
+    return asyncio.wait_for(awaitable, timeout)
 
 
 def _batcher(entry, **kwargs):
@@ -44,9 +54,9 @@ class TestCoalescingIdentity:
                     asyncio.ensure_future(batcher.submit(row))
                     for row in rows
                 ]
-                return await asyncio.gather(*tasks)
+                return await _bounded(asyncio.gather(*tasks))
             finally:
-                await batcher.drain()
+                await _bounded(batcher.drain())
                 compute.shutdown()
 
         results = _run(body())
@@ -63,12 +73,12 @@ class TestCoalescingIdentity:
             batcher, compute = _batcher(entry, window_s=0.005)
             batcher.start()
             try:
-                return await asyncio.gather(
+                return await _bounded(asyncio.gather(
                     *[asyncio.ensure_future(batcher.submit(c))
                       for c in chunks]
-                )
+                ))
             finally:
-                await batcher.drain()
+                await _bounded(batcher.drain())
                 compute.shutdown()
 
         results = _run(body())
@@ -84,12 +94,12 @@ class TestCoalescingIdentity:
             batcher, compute = _batcher(entry, window_s=0.005)
             batcher.start()
             try:
-                return await asyncio.gather(
+                return await _bounded(asyncio.gather(
                     *[asyncio.ensure_future(batcher.submit(c))
                       for c in chunks]
-                )
+                ))
             finally:
-                await batcher.drain()
+                await _bounded(batcher.drain())
                 compute.shutdown()
 
         results = _run(body())
@@ -113,9 +123,11 @@ class TestBackpressure:
                     asyncio.ensure_future(batcher.submit(row))
                     for row in rows[:8]
                 ]
-                settled = await asyncio.gather(*tasks, return_exceptions=True)
+                settled = await _bounded(
+                    asyncio.gather(*tasks, return_exceptions=True)
+                )
             finally:
-                await batcher.drain()
+                await _bounded(batcher.drain())
                 compute.shutdown()
             return settled, batcher
 
@@ -131,10 +143,10 @@ class TestBackpressure:
         async def body():
             batcher, compute = _batcher(entry)
             batcher.start()
-            await batcher.drain()
+            await _bounded(batcher.drain())
             try:
                 with pytest.raises(BackpressureError, match="draining"):
-                    await batcher.submit(rows[0])
+                    await _bounded(batcher.submit(rows[0]))
             finally:
                 compute.shutdown()
 
@@ -153,8 +165,8 @@ class TestDrain:
                 for row in rows[:6]
             ]
             await asyncio.sleep(0)  # let submits enqueue
-            await batcher.drain()
-            results = await asyncio.gather(*tasks)
+            await _bounded(batcher.drain())
+            results = await _bounded(asyncio.gather(*tasks))
             compute.shutdown()
             return results
 
@@ -171,7 +183,7 @@ class TestDrain:
         async def body():
             batcher, compute = _batcher(entry)
             batcher.start()
-            await batcher.drain()
+            await _bounded(batcher.drain())
             compute.shutdown()
             return batcher
 
@@ -189,9 +201,9 @@ class TestDeadlineAdmission:
             batcher, compute = _batcher(entry)
             batcher.start()
             try:
-                return await batcher.submit(rows[0], deadline_s=10.0), batcher
+                return await _bounded(batcher.submit(rows[0], deadline_s=10.0)), batcher
             finally:
-                await batcher.drain()
+                await _bounded(batcher.drain())
                 compute.shutdown()
 
         result, batcher = _run(body())
@@ -209,9 +221,9 @@ class TestDeadlineAdmission:
             batcher.estimator.observe(0.25)  # pretend batches take 250 ms
             try:
                 with pytest.raises(DeadlineExceededError) as err:
-                    await batcher.submit(rows[0], deadline_s=0.01)
+                    await _bounded(batcher.submit(rows[0], deadline_s=0.01))
             finally:
-                await batcher.drain()
+                await _bounded(batcher.drain())
                 compute.shutdown()
             return batcher, err.value
 
@@ -237,10 +249,10 @@ class TestDeadlineAdmission:
             late = asyncio.ensure_future(
                 batcher.submit(rows[1], deadline_s=0.005)
             )
-            settled = await asyncio.gather(
+            settled = await _bounded(asyncio.gather(
                 first, late, return_exceptions=True
-            )
-            await batcher.drain()
+            ))
+            await _bounded(batcher.drain())
             compute.shutdown()
             return settled, batcher
 
@@ -266,10 +278,10 @@ class TestComputeSupervision:
             batcher.start()
             try:
                 with pytest.raises(ExecutionError, match="compute timeout"):
-                    await batcher.submit(rows[0])
-                result = await batcher.submit(rows[1])
+                    await _bounded(batcher.submit(rows[0]))
+                result = await _bounded(batcher.submit(rows[1]))
             finally:
-                await batcher.drain()
+                await _bounded(batcher.drain())
                 batcher._compute.shutdown()
                 compute.shutdown()
             return batcher, result
@@ -283,7 +295,12 @@ class TestComputeSupervision:
         self, scripted_entry, entry, rows
     ):
         """Consecutive compute failures trip the per-model breaker;
-        after the cooldown one probe batch closes it again."""
+        after the cooldown one probe batch closes it again.
+
+        This is also the guard of the waiter contract's exception path:
+        if ``_flush`` stops failing the batch when compute raises, the
+        first submit never resolves, and its bounded await fails this
+        test in seconds (see ``test_dropped_waiter_fails_fast``)."""
         clock = FakeClock()
 
         async def body():
@@ -295,14 +312,14 @@ class TestComputeSupervision:
             try:
                 for k in range(2):
                     with pytest.raises(RuntimeError, match="scripted"):
-                        await batcher.submit(rows[k])
+                        await _bounded(batcher.submit(rows[k]))
                 with pytest.raises(CircuitOpenError) as err:
-                    await batcher.submit(rows[2])
+                    await _bounded(batcher.submit(rows[2]))
                 assert 0 < err.value.retry_after_s <= 60.0
                 clock.advance(61.0)  # cooldown elapses -> half-open
-                result = await batcher.submit(rows[3])
+                result = await _bounded(batcher.submit(rows[3]))
             finally:
-                await batcher.drain()
+                await _bounded(batcher.drain())
                 compute.shutdown()
             return batcher, breaker, result
 
@@ -313,6 +330,27 @@ class TestComputeSupervision:
         assert batcher.compute_failures_total == 2
         assert batcher.breaker_rejected_total == 1
         assert int(result.predictions[0]) == serial_labels(entry, rows[3:4])[0]
+
+    def test_dropped_waiter_fails_fast(
+        self, scripted_entry, rows, monkeypatch
+    ):
+        """With the batch-failing step disabled, a compute failure
+        leaves the waiter unresolved: the bounded await turns that hang
+        into a prompt TimeoutError."""
+        monkeypatch.setattr(MicroBatcher, "_fail_batch",
+                            lambda self, batch, exc, outcome="": None)
+
+        async def body():
+            batcher, compute = _batcher(scripted_entry(["fail"]))
+            batcher.start()
+            try:
+                with pytest.raises(asyncio.TimeoutError):
+                    await _bounded(batcher.submit(rows[0]), timeout=0.5)
+            finally:
+                await _bounded(batcher.drain())
+                compute.shutdown()
+
+        _run(body())
 
     def test_breaker_trip_fails_queued_requests(self, scripted_entry, rows):
         """When a flush trips the breaker, requests already queued are
@@ -326,11 +364,11 @@ class TestComputeSupervision:
             batcher.start()
             first = asyncio.ensure_future(batcher.submit(rows[0]))
             queued = asyncio.ensure_future(batcher.submit(rows[1]))
-            settled = await asyncio.gather(
+            settled = await _bounded(asyncio.gather(
                 first, queued, return_exceptions=True
-            )
+            ))
             opened = breaker.opens_total
-            await batcher.drain()
+            await _bounded(batcher.drain())
             compute.shutdown()
             return settled, opened
 

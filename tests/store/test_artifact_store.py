@@ -43,6 +43,23 @@ class TestAtomicWrite:
         atomic_write_bytes(str(tmp_path / "x.bin"), b"data")
         assert os.listdir(tmp_path) == ["x.bin"]
 
+    def test_failed_write_propagates_and_cleans_up(self, tmp_path,
+                                                   monkeypatch):
+        path = str(tmp_path / "x.bin")
+        atomic_write_bytes(path, b"old")
+        failure = OSError("disk full")
+
+        def fail_fsync(fd):
+            raise failure
+
+        monkeypatch.setattr(os, "fsync", fail_fsync)
+        with pytest.raises(OSError) as raised:
+            atomic_write_bytes(path, b"new")
+        assert raised.value is failure
+        assert os.listdir(tmp_path) == ["x.bin"]
+        with open(path, "rb") as fh:
+            assert fh.read() == b"old"
+
     def test_sha_helpers_agree(self, tmp_path):
         path = str(tmp_path / "x.bin")
         atomic_write_bytes(path, b"data")
