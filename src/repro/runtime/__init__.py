@@ -1,19 +1,17 @@
-"""Parallel campaign runtime: seed partitioning + process-pool runner.
+"""Parallel campaign runtime: seed partitioning + DAG scheduling.
 
 The speed layer under the Monte-Carlo studies:
 
 * :mod:`repro.runtime.seeding` — per-trial
   :class:`~numpy.random.SeedSequence` children keyed by trial identity,
-  so streams are independent of worker count, chunk size and execution
-  order;
-* :mod:`repro.runtime.runner` — :class:`ParallelRunner`, a
-  crash-tolerant chunked process pool whose results are byte-identical
-  to serial execution for seeding-disciplined workers;
+  so streams are independent of worker count, batch grouping and
+  execution order;
 * :mod:`repro.runtime.scheduler` — :class:`CampaignScheduler`, a
   dependency-aware DAG of :class:`CampaignCell` nodes (shared
   model-build cells feeding per-sigma trial-group cells) executed in
-  waves on the runner, with a ``completed`` probe for cell-granularity
-  resume.
+  waves, in-process or on a crash-tolerant process pool whose results
+  are byte-identical to serial execution for seeding-disciplined
+  workers, with a ``completed`` probe for cell-granularity resume.
 
 Consumers: :class:`repro.faults.FaultCampaign` (``run(workers=...,
 trial_batch=...)``) and :func:`repro.experiments.fig7_accuracy.run_fig7`
@@ -21,12 +19,10 @@ trial_batch=...)``) and :func:`repro.experiments.fig7_accuracy.run_fig7`
 ``--workers`` / ``--trial-batch``.
 """
 
-from .runner import ParallelRunner
 from .scheduler import CampaignCell, CampaignScheduler
 from .seeding import trial_rng, trial_seed_sequence
 
 __all__ = [
-    "ParallelRunner",
     "CampaignCell",
     "CampaignScheduler",
     "trial_rng",

@@ -1,19 +1,26 @@
-"""Dependency-aware campaign-grid scheduling on the process pool.
+"""Dependency-aware campaign-grid scheduling on a crash-tolerant pool.
 
-:class:`ParallelRunner` maps one flat task list; a campaign grid has
-more structure — shared model-build/program work feeding many
+A campaign grid is shared model-build/program work feeding many
 independent trial-group cells.  :class:`CampaignScheduler` expresses
 that structure as a DAG of :class:`CampaignCell` nodes and executes it
-in dependency waves on the existing crash-tolerant pool:
+in dependency waves:
 
 * **local cells** run in the parent process (model training, chip
   preparation, store warm-up — anything that must respect the
-  single-writer invariant of the artifact store);
-* **pooled cells** fan out through a :class:`ParallelRunner` per wave,
-  inheriting its chunking, crash retry and order preservation.  A
-  pooled cell's worker function receives its payload plus the results
-  of its dependency cells (see :meth:`CampaignScheduler.run` for how
-  those reach a worker process);
+  single-writer invariant of the artifact store), and so does every
+  cell at ``workers <= 1``;
+* **pooled cells** fan out at ``workers > 1`` as one future per cell on
+  a process pool (``fork`` preferred, so workers inherit the parent's
+  prepared state).  A pooled cell's worker function receives its
+  payload plus the results of its dependency cells (see
+  :meth:`CampaignScheduler.run` for how those reach a worker process);
+* **crash retry**: a worker process dying (OOM kill, segfault,
+  ``os._exit``) breaks the whole pool; the scheduler rebuilds it and
+  resubmits only the cells that have no result yet, up to
+  :data:`POOL_RETRIES` times, then raises
+  :class:`~repro.errors.ExecutionError`.  An exception raised *by the
+  worker function* is a deterministic cell failure: it propagates
+  unretried and cancels the wave's queued cells;
 * **resume**: an optional ``completed`` probe short-circuits cells
   whose results already exist (e.g. in the artifact store), so an
   interrupted grid re-invocation recomputes nothing finished —
@@ -21,23 +28,37 @@ in dependency waves on the existing crash-tolerant pool:
 * **determinism**: the scheduler feeds no scheduling information to the
   cells; seeding-disciplined workers therefore produce byte-identical
   results at any worker count (the :mod:`repro.runtime.seeding`
-  contract, unchanged).
+  contract).
 
 Results merge parent-side through ``on_result`` as each cell lands —
 the hook campaign callers use to persist finished cells immediately.
+
+Observability: with a telemetry session active every computed cell is
+a ``scheduler.cell`` span (attributes ``cell`` and ``local``) at any
+worker count; a pooled cell's span is its parent-side turnaround,
+submit → result, with the spans its fork-started worker recorded
+grafted beneath it.  Pool rebuilds increment ``runner.pool_rebuilds``
+(also on :attr:`CampaignScheduler.pool_rebuilds`), and after a run the
+``runner.worker_utilisation`` gauge holds the non-local cells' busy
+time over ``workers ×`` the wall time spent running them, capped at 1.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
-import functools
+import multiprocessing
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, ExecutionError
 from ..telemetry import session as _telemetry
-from .runner import ParallelRunner
+from ..telemetry.clock import perf
 
 __all__ = ["CampaignCell", "CampaignScheduler"]
+
+#: Pool rebuilds tolerated per pooled wave after worker crashes.
+POOL_RETRIES = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,9 +86,9 @@ class CampaignCell:
 
 
 # The results of the scheduler whose run() is executing a pooled wave,
-# set only for the duration of that wave.  In-process cells and workers
-# forked meanwhile read their dependency results from it by identity; a
-# spawned worker starts without it and _adopt installs a _Rebuilt.
+# set only for the duration of that wave.  Workers forked meanwhile
+# read their dependency results from it by identity; a spawned worker
+# starts without it and _adopt installs a _Rebuilt.
 _RUNNING: Optional[Mapping[str, Any]] = None
 
 
@@ -96,30 +117,31 @@ def _adopt(scheduler: CampaignScheduler,
         _RUNNING = _Rebuilt(scheduler, cells)
 
 
-def _run_keyed(fn: Callable[..., Any],
-               task: Tuple[str, Any, Tuple[str, ...]]) -> Any:
-    """Pooled cell trampoline: call ``fn(payload, *dependency results)``.
+def _run_cell(fn: Callable[..., Any], payload: Any,
+              deps: Tuple[str, ...]) -> Tuple[Any, List[dict]]:
+    """Pooled cell body: ``fn(payload, *dependency results)``.
 
-    Module-level (fork/spawn-picklable); the key rides along so the
-    parent can attribute completion-order results to cells without
-    relying on payload uniqueness.
+    Returns the result with the spans the call recorded, as plain
+    dicts for the parent to graft under the cell's span.  Only a worker
+    forked from a parent with an active telemetry session has a session
+    of its own; any other worker ships an empty list.
     """
-    _key, payload, deps = task
     results = _RUNNING
     assert results is not None, "pooled cell ran outside a scheduler run"
-    return fn(payload, *(results[dep] for dep in deps))
+    session = _telemetry.active()
+    base = len(session.tracer.spans) if session is not None else 0
+    result = fn(payload, *(results[dep] for dep in deps))
+    if session is None:
+        return result, []
+    return result, [span.to_dict() for span in session.tracer.spans[base:]]
 
 
-def _cell_span_attrs(chunk: Sequence[Tuple[Any, ...]]) -> Dict[str, Any]:
-    """Label a pooled chunk's span with the cell key(s) it carries.
-
-    Runs parent-side (the runner's ``span_attrs`` hook); campaign grids
-    use ``chunk_size=1`` so the common shape is one ``cell`` attribute,
-    but larger chunks stay attributable too.
-    """
-    if len(chunk) == 1:
-        return {"cell": chunk[0][0]}
-    return {"cells": [task[0] for task in chunk]}
+def _pool_context() -> multiprocessing.context.BaseContext:
+    """Prefer ``fork`` (workers inherit the parent's prepared state and
+    warm caches for free); fall back to the platform default."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
 
 
 class CampaignScheduler:
@@ -130,9 +152,8 @@ class CampaignScheduler:
     worker_fn:
         Module-level (picklable) callable; a pooled cell computes
         ``worker_fn(cell.payload, *results of cell.deps)``.
-    workers / chunk_size / max_retries:
-        Forwarded to the per-wave :class:`ParallelRunner` (see there);
-        ``workers <= 1`` runs every cell in-process.
+    workers:
+        Pool process count; ``<= 1`` runs every cell in-process.
     local_fn:
         Parent-side callable for ``local=True`` cells, receiving the
         :class:`CampaignCell`; defaults to the worker-function call of
@@ -144,14 +165,10 @@ class CampaignScheduler:
         self,
         worker_fn: Callable[..., Any],
         workers: int = 1,
-        chunk_size: int = 1,
-        max_retries: int = 2,
         local_fn: Optional[Callable[[CampaignCell], Any]] = None,
     ) -> None:
         self.worker_fn = worker_fn
         self.workers = workers
-        self.chunk_size = chunk_size
-        self.max_retries = max_retries
         self.local_fn = local_fn
         #: pool rebuilds performed across all waves of the last :meth:`run`
         self.pool_rebuilds = 0
@@ -197,18 +214,25 @@ class CampaignScheduler:
         it).  Unsatisfiable dependencies (a cycle) raise
         :class:`~repro.errors.ExecutionError`.
 
-        Dependency results reach pooled cells through a module slot
+        In-process cells read their dependency results from the result
+        map directly.  Pooled cells read them through a module slot
         that holds this run's result map only while a pooled wave
-        executes.  In-process and in workers forked from it they are
-        the parent's own objects, passed by identity and never pickled;
-        a spawned worker rebuilds each one it reads once per process
-        (``local_fn`` for a local cell).
+        executes: in workers forked from it they are the parent's own
+        objects, passed by identity and never pickled; a spawned worker
+        rebuilds each one it reads once per process (``local_fn`` for a
+        local cell).
         """
         cells = list(cells)
         self._validate(cells)
         self.pool_rebuilds = 0
         results: Dict[str, Any] = {}
         session = _telemetry.active()
+
+        def merge(cell: CampaignCell, result: Any) -> None:
+            results[cell.key] = result
+            if on_result is not None:
+                on_result(cell, result)
+
         remaining: List[CampaignCell] = []
         resumed = 0
         for cell in cells:
@@ -222,6 +246,7 @@ class CampaignScheduler:
             session.count("scheduler.cells.resumed", resumed)
 
         waves = 0
+        busy = elapsed = 0.0
         while remaining:
             ready = [
                 cell for cell in remaining
@@ -234,60 +259,131 @@ class CampaignScheduler:
                     f"on failed cells): {cycle}"
                 )
             waves += 1
-            local = [cell for cell in ready if cell.local]
-            pooled = [cell for cell in ready if not cell.local]
-            for cell in local:
+            pooled = []
+            for cell in ready:
+                if not cell.local and self.workers > 1:
+                    pooled.append(cell)
+                    continue
+                start = perf()
                 with _telemetry.span(
-                    "scheduler.cell", cell=cell.key, local=True
+                    "scheduler.cell", cell=cell.key, local=cell.local
                 ):
                     result = self._call(cell, results)
-                results[cell.key] = result
-                if on_result is not None:
-                    on_result(cell, result)
+                if not cell.local:
+                    # workers <= 1: the parent is the one, always busy,
+                    # worker.
+                    duration = perf() - start
+                    busy += duration
+                    elapsed += duration
+                merge(cell, result)
             if pooled:
-                self._run_pooled_wave(pooled, cells, results, on_result)
+                start = perf()
+                busy += self._run_pooled(pooled, cells, results, merge)
+                elapsed += perf() - start
             if session is not None:
                 session.count("scheduler.cells.completed", len(ready))
             done = {cell.key for cell in ready}
             remaining = [c for c in remaining if c.key not in done]
         if session is not None:
             session.set_gauge("scheduler.waves", waves)
+            if elapsed > 0:
+                session.set_gauge(
+                    "runner.worker_utilisation",
+                    min(1.0, busy / (max(1, self.workers) * elapsed)),
+                )
         return results
 
-    def _run_pooled_wave(
+    def _run_pooled(
         self,
         pooled: List[CampaignCell],
         cells: List[CampaignCell],
         results: Dict[str, Any],
-        on_result: Optional[Callable[[CampaignCell, Any], None]],
-    ) -> None:
+        merge: Callable[[CampaignCell, Any], None],
+    ) -> float:
         """Fan one wave's independent cells out through the pool, with
-        ``results`` in the module slot for exactly as long."""
+        ``results`` in the module slot for exactly as long, rebuilding
+        the pool after a worker crash.  Returns the summed turnaround
+        of the cells (the utilisation numerator)."""
         global _RUNNING
-        by_key = {cell.key: cell for cell in pooled}
-
-        def merge(task: Tuple[str, Any], result: Any) -> None:
-            cell = by_key[task[0]]
-            results[cell.key] = result
-            if on_result is not None:
-                on_result(cell, result)
-
-        runner = ParallelRunner(
-            functools.partial(_run_keyed, self.worker_fn),
-            workers=self.workers,
-            chunk_size=self.chunk_size,
-            max_retries=self.max_retries,
-            initializer=_adopt,
-            initargs=(self, {cell.key: cell for cell in cells}),
-            span_name="scheduler.cell",
-            span_attrs=_cell_span_attrs,
-        )
+        pending = {cell.key: cell for cell in pooled}
+        initargs = (self, {cell.key: cell for cell in cells})
+        busy = 0.0
         previous, _RUNNING = _RUNNING, results
         try:
-            runner.map(
-                [(cell.key, cell.payload, cell.deps) for cell in pooled],
-                on_result=merge,
-            )
+            for attempt in range(POOL_RETRIES + 1):
+                if attempt:
+                    self.pool_rebuilds += 1
+                    _telemetry.count("runner.pool_rebuilds")
+                crashed, round_busy = self._pool_round(
+                    pending, initargs, merge
+                )
+                busy += round_busy
+                if not crashed:
+                    return busy
         finally:
             _RUNNING = previous
-        self.pool_rebuilds += runner.pool_rebuilds
+        raise ExecutionError(
+            f"worker processes kept crashing; {len(pending)} cell(s) "
+            f"unfinished after {POOL_RETRIES + 1} round(s)"
+        )
+
+    def _pool_round(
+        self,
+        pending: Dict[str, CampaignCell],
+        initargs: Tuple[Any, ...],
+        merge: Callable[[CampaignCell, Any], None],
+    ) -> Tuple[bool, float]:
+        """One pool lifetime; returns whether a worker crash was seen,
+        and the summed turnaround of the cells that completed.
+
+        A crash poisons every in-flight future of the pool, so the
+        round ends with the unfinished cells still in ``pending`` for
+        the next round's fresh pool.  Any other exception cancels the
+        cells still queued before it propagates.
+        """
+        session = _telemetry.active()
+        crashed = False
+        busy = 0.0
+        pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(self.workers, len(pending)),
+            mp_context=_pool_context(),
+            initializer=_adopt,
+            initargs=initargs,
+        )
+        try:
+            futures = {
+                pool.submit(_run_cell, self.worker_fn, cell.payload,
+                            cell.deps): (cell, perf())
+                for cell in pending.values()
+            }
+            for future in concurrent.futures.as_completed(futures):
+                cell, submitted = futures[future]
+                try:
+                    result, records = future.result()
+                except BrokenProcessPool:
+                    crashed = True
+                    continue
+                except OSError:
+                    # An OSError is a crash symptom only when the pool
+                    # itself broke (torn result pipe); one raised *by the
+                    # worker function* (missing dataset file, permission
+                    # denied) is a deterministic cell failure — retrying
+                    # it would loop and then misreport the bug as
+                    # "worker processes kept crashing".
+                    if getattr(pool, "_broken", False):
+                        crashed = True
+                        continue
+                    raise
+                end = perf()
+                busy += end - submitted
+                if session is not None:
+                    span = session.tracer.record_span(
+                        "scheduler.cell", submitted, end,
+                        cell=cell.key, local=False,
+                    )
+                    session.tracer.graft_records(records, span)
+                del pending[cell.key]
+                merge(cell, result)
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+        return crashed, busy

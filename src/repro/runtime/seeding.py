@@ -4,7 +4,7 @@ Every trial of a sweep gets its own :class:`numpy.random.SeedSequence`,
 derived from the master seed and the trial's *identity token* (grid
 point + trial index), **not** from its position in any schedule.  The
 stream a trial sees is therefore a pure function of
-``(master seed, token)`` — independent of worker count, chunk size,
+``(master seed, token)`` — independent of worker count, cell boundaries,
 batch grouping or execution order — which is what makes parallel
 campaign results byte-identical to serial ones.
 

@@ -45,6 +45,9 @@ from .server import HTTPFrontend
 
 __all__ = ["ServingDaemon", "BackgroundServer"]
 
+# Bound on the listener's wait_closed at shutdown (after the drain).
+_WAIT_CLOSED_TIMEOUT_S = 5.0
+
 
 class ServingDaemon:
     """Owns the sockets, batchers and compute pool of one server."""
@@ -263,7 +266,9 @@ class ServingDaemon:
         # would deadlock on a hung compute thread.)  Bounded anyway so
         # one wedged socket cannot stall shutdown.
         try:
-            await asyncio.wait_for(self._server.wait_closed(), timeout=5.0)
+            await asyncio.wait_for(
+                self._server.wait_closed(), timeout=_WAIT_CLOSED_TIMEOUT_S
+            )
         except asyncio.TimeoutError:  # pragma: no cover - wedged socket
             pass
         self._server = None
@@ -396,7 +401,18 @@ class BackgroundServer:
                 self._loop.call_soon_threadsafe(self._stop.set)
             except RuntimeError:
                 pass  # loop already dead; the join + error check below
-        self._thread.join(timeout=60.0)
+        # A clean shutdown ends within its own bounds (the drain grace
+        # period, then the listener close), plus a second for the loop
+        # teardown; a thread alive past that is wedged.
+        bound_s = (
+            self.daemon.config.drain_timeout_s + _WAIT_CLOSED_TIMEOUT_S + 1.0
+        )
+        self._thread.join(timeout=bound_s)
+        if self._thread.is_alive():
+            raise ExecutionError(
+                f"serving daemon loop still running {bound_s:g} s after "
+                "stop; shutdown is wedged"
+            )
         if self._error is not None:
             # The loop died mid-run (not at startup — start() would
             # have raised): a crashed daemon must not look like a

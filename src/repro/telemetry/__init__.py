@@ -1,7 +1,7 @@
 """Unified telemetry: metrics registry, span tracer, run manifests.
 
 The instrumentation substrate for the whole library — every subsystem
-that wants to report an MVM count, a chunk latency or a remap event
+that wants to report an MVM count, a cell latency or a remap event
 goes through this package instead of rolling its own counters or
 calling :mod:`time` directly (enforced by lint rule ``TEL001``).
 

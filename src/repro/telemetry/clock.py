@@ -1,6 +1,6 @@
 """The one place the library reads wall/CPU clocks.
 
-Every span timing, chunk-latency sample and manifest timestamp comes
+Every span timing, latency sample and manifest timestamp comes
 from these four functions, so timings are comparable across subsystems
 and the ``TEL001`` lint rule can enforce that no instrumentation grows
 outside the telemetry layer (scattered ``time.perf_counter()`` calls

@@ -15,7 +15,7 @@ Propagation uses a :class:`contextvars.ContextVar`, so the ambient
 trace follows asyncio tasks and threads started with a copied context.
 Code that crosses an explicit boundary (the micro-batcher queue, a
 process pool) carries the ``trace_id`` by value instead — see
-``serving/batcher.py`` and ``runtime/runner.py``.
+``serving/batcher.py`` and ``runtime/scheduler.py``.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Named counters, gauges and streaming histograms.
 
 A :class:`MetricsRegistry` is a flat namespace of metrics keyed by
-dotted lowercase names (``mvm.count``, ``runner.chunk_seconds``).
+dotted lowercase names (``mvm.count``, ``serve.latency_seconds``).
 Instruments are created on first use and are plain mutable objects —
 no locks, no background threads, no third-party client.
 

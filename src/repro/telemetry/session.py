@@ -16,9 +16,11 @@ benchmark).  Telemetry is an *execution knob*: enabling it must never
 change experiment bytes, fingerprints or RNG streams.
 
 Telemetry is parent-process-only: forked pool workers inherit the
-active session but their copies die with the worker.  Worker-side
-costs are observed from the parent (chunk turnaround spans recorded by
-:class:`repro.runtime.runner.ParallelRunner`).
+active session but their copies die with the worker, so metrics
+recorded inside a worker never reach the parent.  Worker-side costs are
+observed from the parent (the per-cell turnaround spans of
+:class:`repro.runtime.CampaignScheduler`, with the worker's own spans
+shipped back and grafted beneath them).
 """
 
 from __future__ import annotations

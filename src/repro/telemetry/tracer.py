@@ -6,9 +6,9 @@ A :class:`Tracer` hands out spans two ways:
   inline (``with tracer.span("fig7.sigma_column", sigma=0.1): ...``);
   nesting follows the ``with`` structure.
 * :meth:`Tracer.record_span` — for intervals timed elsewhere (e.g. the
-  parent-side turnaround of a worker-pool chunk, whose start/end the
-  runner observed around a future).  The recorded span is parented to
-  whatever inline span is open at record time.
+  parent-side turnaround of a pooled campaign cell, whose start/end
+  the scheduler observed around a future).  The recorded span is
+  parented to whatever inline span is open at record time.
 
 Spans appear in ``spans`` in creation order, children strictly after
 their parent, so a single forward pass over the list renders the tree.
@@ -40,7 +40,7 @@ class Span:
     name:
         Dotted lowercase identifier (``campaign.trial_group``).
     attrs:
-        JSON-serialisable labels (sigma, chunk index, ...).
+        JSON-serialisable labels (sigma, cell key, ...).
     start_wall:
         Epoch seconds at start (cross-run correlation only; durations
         never use it).

@@ -47,8 +47,14 @@ def chaos_server(registry):  # noqa: F811  (pytest fixture injection)
         return server.start(), plan
 
     yield launch
+    # A second stop of a cleanly stopped server is a no-op, so any error
+    # here is real (a daemon that died, or a loop wedged past its
+    # shutdown bound): stop everything, then surface the first one.
+    errors = []
     for server in servers:
         try:
             server.stop()
-        except ExecutionError:
-            pass  # already stopped by the test body
+        except ExecutionError as exc:
+            errors.append(exc)
+    if errors:
+        raise errors[0]

@@ -210,14 +210,14 @@ class TestWorkerState:
     def test_spawned_workers_rebuild_the_same_records(
         self, spec, tmp_path, monkeypatch
     ):
-        from repro.runtime import runner as runner_mod
+        from repro.runtime import scheduler as scheduler_mod
 
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "models"))
         serial = FaultCampaign(
             spec, store=ArtifactStore(str(tmp_path / "serial"))
         ).run(workers=1)
         monkeypatch.setattr(
-            runner_mod, "_pool_context",
+            scheduler_mod, "_pool_context",
             lambda: multiprocessing.get_context("spawn"),
         )
         spawned = FaultCampaign(
@@ -251,6 +251,34 @@ class TestCampaignTrace:
         # plus the parent-side prepare cell.
         assert len(by_name["campaign.trial_group"]) == 4
         assert len(by_name["scheduler.cell"]) == 5
+
+    @needs_fork
+    def test_span_names_match_across_worker_counts(self, spec, tmp_path,
+                                                   monkeypatch):
+        """The parent's span-name multiset does not depend on the worker
+        count: pooled cells record the same spans, grafted from the
+        forked workers, that in-process cells record directly."""
+        import collections
+        import dataclasses
+
+        from repro.telemetry import session as telemetry
+
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "models"))
+        spec = dataclasses.replace(spec, sigmas=(0.05,))
+        names = {}
+        for workers in (1, 2):
+            store = ArtifactStore(str(tmp_path / f"records-{workers}"))
+            with telemetry.capture() as session:
+                FaultCampaign(spec, store=store).run(
+                    workers=workers, trial_batch=2
+                )
+            names[workers] = collections.Counter(
+                s.name for s in session.tracer.spans
+            )
+        assert names[1] == names[2]
+        assert names[1]["campaign.run"] == 1
+        assert names[1]["campaign.trial_group"] == 2
+        assert names[1]["scheduler.cell"] == 3
 
 
 class TestCLI:

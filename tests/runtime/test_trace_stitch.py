@@ -1,11 +1,11 @@
 """Cross-process trace stitching: worker span trees graft under the
-parent's chunk/cell spans into one trace."""
+parent's ``scheduler.cell`` spans into one trace."""
 
 import multiprocessing
 
 import pytest
 
-from repro.runtime import CampaignCell, CampaignScheduler, ParallelRunner
+from repro.runtime import CampaignCell, CampaignScheduler
 from repro.telemetry import context
 from repro.telemetry import session as telemetry
 
@@ -18,41 +18,6 @@ needs_fork = pytest.mark.skipif(
 def _traced_double(payload, *_deps):
     with telemetry.span("work.step", payload=payload):
         return payload * 2
-
-
-class TestRunnerGraft:
-    @needs_fork
-    def test_pooled_worker_spans_graft_under_chunk_spans(self):
-        with telemetry.capture() as session:
-            with context.trace_scope("job-1"):
-                out = ParallelRunner(_traced_double, workers=2).map(
-                    [1, 2, 3]
-                )
-        assert out == [2, 4, 6]
-        chunks = [s for s in session.tracer.spans
-                  if s.name == "runner.chunk"]
-        steps = [s for s in session.tracer.spans if s.name == "work.step"]
-        assert len(chunks) == 3
-        assert len(steps) == 3
-        chunk_ids = {s.span_id: s for s in chunks}
-        for step in steps:
-            parent = chunk_ids[step.parent_id]
-            assert step.depth == parent.depth + 1
-            assert step.trace_id == "job-1"
-        # Grafted spans keep their payloads attributable to the chunk
-        # that computed them.
-        by_chunk = {chunk_ids[s.parent_id].attrs["index"]:
-                    s.attrs["payload"] for s in steps}
-        assert by_chunk == {0: 1, 1: 2, 2: 3}
-
-    def test_serial_worker_spans_share_the_trace(self):
-        with telemetry.capture() as session:
-            with context.trace_scope("job-2"):
-                ParallelRunner(_traced_double, workers=1).map([1, 2])
-        assert all(s.trace_id == "job-2" for s in session.tracer.spans)
-        names = [s.name for s in session.tracer.spans]
-        assert names.count("work.step") == 2
-        assert names.count("runner.chunk") == 2
 
 
 class TestSchedulerCells:
@@ -91,5 +56,36 @@ class TestSchedulerCells:
             CampaignScheduler(_traced_double, workers=1).run(cells)
         (cell_span,) = [s for s in session.tracer.spans
                         if s.name == "scheduler.cell"]
-        assert cell_span.attrs["cell"] == "only"
-        assert cell_span.attrs["tasks"] == 1
+        assert cell_span.attrs == {"cell": "only", "local": False}
+
+    @needs_fork
+    def test_pooled_worker_spans_graft_under_their_cells(self):
+        cells = [CampaignCell(f"c{i}", payload=i) for i in (1, 2, 3)]
+        with telemetry.capture() as session:
+            with context.trace_scope("job-1"):
+                out = CampaignScheduler(_traced_double, workers=2).run(cells)
+        assert out == {"c1": 2, "c2": 4, "c3": 6}
+        cell_spans = {s.span_id: s for s in session.tracer.spans
+                      if s.name == "scheduler.cell"}
+        steps = [s for s in session.tracer.spans if s.name == "work.step"]
+        assert len(cell_spans) == 3
+        assert len(steps) == 3
+        for step in steps:
+            parent = cell_spans[step.parent_id]
+            assert step.depth == parent.depth + 1
+            assert step.trace_id == "job-1"
+        # Grafted spans keep their payloads attributable to the cell
+        # that computed them.
+        by_cell = {cell_spans[s.parent_id].attrs["cell"]: s.attrs["payload"]
+                   for s in steps}
+        assert by_cell == {"c1": 1, "c2": 2, "c3": 3}
+
+    def test_in_process_worker_spans_share_the_trace(self):
+        cells = [CampaignCell("a", payload=1), CampaignCell("b", payload=2)]
+        with telemetry.capture() as session:
+            with context.trace_scope("job-2"):
+                CampaignScheduler(_traced_double, workers=1).run(cells)
+        assert all(s.trace_id == "job-2" for s in session.tracer.spans)
+        names = [s.name for s in session.tracer.spans]
+        assert names.count("work.step") == 2
+        assert names.count("scheduler.cell") == 2

@@ -393,6 +393,33 @@ class TestBackgroundServerErrors:
         with pytest.raises(ExecutionError, match="died while running"):
             server.stop()
 
+    def test_stop_raises_when_the_loop_outlives_its_bound(
+        self, registry, monkeypatch
+    ):
+        """A loop thread still alive after the shutdown's own bounds
+        (drain grace period + listener close) is reported, not
+        mistaken for a clean stop."""
+        from repro.serving import daemon as daemon_mod
+
+        monkeypatch.setattr(daemon_mod, "_WAIT_CLOSED_TIMEOUT_S", 0.0)
+        server = BackgroundServer(
+            registry, _config(drain_timeout_s=0.1)
+        ).start()
+        release = threading.Event()
+        shutdown = server.daemon.shutdown
+
+        async def wedged():
+            release.wait(10.0)  # blocks the loop thread itself
+            await shutdown()
+
+        server.daemon.shutdown = wedged
+        try:
+            with pytest.raises(ExecutionError, match="wedged"):
+                server.stop()
+        finally:
+            release.set()
+        server.stop()  # the released loop now ends cleanly
+
 
 class TestLoadGenerator:
     def test_run_load_reports(self, registry, rows):
