@@ -7,7 +7,7 @@ generator of :mod:`repro.serving.client`, and writes
 
 * per concurrency level: p50/p99/mean latency, throughput, and the
   server-reported mean coalesced batch size — once with micro-batching
-  (``max_batch``, ``window``) and once unbatched (``max_batch=1``);
+  (``max_batch``) and once unbatched (``max_batch=1``);
 * a byte-identity hard gate: predictions of concurrent single-row
   requests must equal serial ``PIMExecutor.predict`` on the same rows
   (non-zero exit on divergence, like ``bench_perf_mc.py``);
@@ -82,7 +82,7 @@ def deadline_mode(model, rows, n_samples=600, seed=0,
     )
     config = ServingConfig(
         models=(model,), port=0, n_samples=n_samples, seed=seed,
-        max_batch=max_batch, batch_window_s=0.0, queue_depth=queue_depth,
+        max_batch=max_batch, queue_depth=queue_depth,
         ensemble_sigma=ensemble_sigma, ensemble_trials=ensemble_trials,
     )
     with BackgroundServer(registry, config) as server:
@@ -181,7 +181,7 @@ def deadline_mode(model, rows, n_samples=600, seed=0,
 
 def run_benchmark(model="mlp-1", n_samples=600, seed=0, eval_rows=48,
                   concurrencies=(1, 4, 16), requests_per_worker=8,
-                  max_batch=32, window_ms=2.0, queue_depth=256,
+                  max_batch=32, queue_depth=256,
                   ensemble_sigma=0.0, ensemble_trials=0,
                   deadline_concurrency=32, deadline_requests=8,
                   deadline_max_batch=4, deadline_floor_ms=30.0):
@@ -190,7 +190,6 @@ def run_benchmark(model="mlp-1", n_samples=600, seed=0, eval_rows=48,
     from repro.datasets import make_mnist_like
     from repro.serving import BackgroundServer, ModelRegistry, ServingConfig
     from repro.serving.client import run_load
-    from repro.units import MILLI
 
     registry = ModelRegistry.from_benchmarks(
         [model], n_samples=n_samples, seed=seed,
@@ -204,7 +203,6 @@ def run_benchmark(model="mlp-1", n_samples=600, seed=0, eval_rows=48,
         config = ServingConfig(
             models=(model,), port=0, n_samples=n_samples, seed=seed,
             max_batch=max_batch if batching else 1,
-            batch_window_s=window_ms * MILLI if batching else 0.0,
             queue_depth=queue_depth,
             ensemble_sigma=ensemble_sigma, ensemble_trials=ensemble_trials,
         )
@@ -225,8 +223,7 @@ def run_benchmark(model="mlp-1", n_samples=600, seed=0, eval_rows=48,
     # Byte-identity gate: concurrent serving == serial executor.predict.
     config = ServingConfig(
         models=(model,), port=0, n_samples=n_samples, seed=seed,
-        max_batch=max_batch, batch_window_s=window_ms * MILLI,
-        queue_depth=queue_depth,
+        max_batch=max_batch, queue_depth=queue_depth,
         ensemble_sigma=ensemble_sigma, ensemble_trials=ensemble_trials,
     )
     with BackgroundServer(registry, config) as server:
@@ -254,7 +251,6 @@ def run_benchmark(model="mlp-1", n_samples=600, seed=0, eval_rows=48,
             "concurrencies": list(concurrencies),
             "requests_per_worker": requests_per_worker,
             "max_batch": max_batch,
-            "window_ms": window_ms,
             "queue_depth": queue_depth,
             "ensemble_sigma": ensemble_sigma,
             "ensemble_trials": ensemble_trials,
@@ -280,7 +276,6 @@ def main(argv=None) -> int:
                         default=[1, 4, 16])
     parser.add_argument("--requests-per-worker", type=int, default=8)
     parser.add_argument("--max-batch", type=int, default=32)
-    parser.add_argument("--window-ms", type=float, default=2.0)
     parser.add_argument("--queue-depth", type=int, default=256)
     parser.add_argument("--ensemble-sigma", type=float, default=0.0)
     parser.add_argument("--ensemble-trials", type=int, default=0)
@@ -304,8 +299,7 @@ def main(argv=None) -> int:
         model=args.model, n_samples=args.samples, seed=args.seed,
         eval_rows=args.eval_rows, concurrencies=tuple(args.concurrency),
         requests_per_worker=args.requests_per_worker,
-        max_batch=args.max_batch, window_ms=args.window_ms,
-        queue_depth=args.queue_depth,
+        max_batch=args.max_batch, queue_depth=args.queue_depth,
         ensemble_sigma=args.ensemble_sigma,
         ensemble_trials=args.ensemble_trials,
         deadline_concurrency=args.deadline_concurrency,
@@ -319,7 +313,7 @@ def main(argv=None) -> int:
         fh.write("\n")
 
     print(f"[bench_serving] {args.model} — batched (max_batch="
-          f"{args.max_batch}, window {args.window_ms:g} ms) vs unbatched")
+          f"{args.max_batch}) vs unbatched")
     for c in args.concurrency:
         b, u = report["batched"][str(c)], report["unbatched"][str(c)]
         print(f"  c={c:<3d} batched {b['throughput_rps']:7.1f} rps "

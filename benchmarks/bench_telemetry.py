@@ -107,7 +107,6 @@ def measure_serving(model="mlp-1", n_samples=300, seed=0, requests=24):
     rows = [data.images[i : i + 1] for i in range(8)]
     config = ServingConfig(
         models=(model,), port=0, n_samples=n_samples, seed=seed,
-        batch_window_s=0.0,
     )
 
     def mean_latency_ms(server):

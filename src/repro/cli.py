@@ -208,16 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind port (0 = ephemeral)")
     serve.add_argument("--max-batch", type=int, default=32, metavar="N",
                        help="coalescing bound: requests per merged forward")
-    serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                       metavar="MS",
-                       help="coalescing window after the first request of "
-                            "a batch")
     serve.add_argument("--queue-depth", type=int, default=128, metavar="N",
                        help="backpressure bound: pending requests beyond "
                             "this get HTTP 429")
     serve.add_argument("--no-batching", action="store_true",
-                       help="serve each request alone (max_batch=1, "
-                            "window=0) — the benchmark baseline")
+                       help="serve each request alone (max_batch=1) — "
+                            "the benchmark baseline")
     serve.add_argument("--compute-workers", type=int, default=1, metavar="N",
                        help="numpy compute threads (1 keeps per-request "
                             "energy accounting exact)")
@@ -480,15 +476,12 @@ def _run_cache(args: argparse.Namespace) -> str:
 
 def _run_serve(args: argparse.Namespace) -> str:
     from .serving import ModelRegistry, ServingConfig, ServingDaemon
-    from .units import MILLI
 
     config = ServingConfig(
         host=args.host,
         port=args.port,
         models=tuple(args.models),
         max_batch=1 if args.no_batching else args.max_batch,
-        batch_window_s=(0.0 if args.no_batching
-                        else args.batch_window_ms * MILLI),
         queue_depth=args.queue_depth,
         compute_workers=args.compute_workers,
         compute_timeout_s=args.compute_timeout_s,

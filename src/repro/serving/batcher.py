@@ -2,11 +2,14 @@
 deadline-aware admission control and a per-model circuit breaker.
 
 One :class:`MicroBatcher` serves one model.  Concurrent predict
-requests land in a bounded deque; a coalescer task waits a short window
-after the first arrival, then merges up to ``max_batch`` requests into
+requests land in a bounded deque; a coalescer task flushes as soon as
+a request is pending, merging up to ``max_batch`` queued requests into
 a single ``(rows, ...)`` forward pass on the compute pool — under an
 ensemble, a single stacked trial-tensor pass — and scatters the label
-slices back to each caller's future.  Batch membership is an execution
+slices back to each caller's future.  There is no coalescing timer:
+the coalescer runs one flush at a time, so a batch is whatever queued
+behind the previous flush (opportunistic batching), and a lone request
+on an idle model flushes at once.  Batch membership is an execution
 detail: a request's labels are identical whether it rode with 31
 companions or alone.
 
@@ -124,7 +127,6 @@ class MicroBatcher:
         entry: ModelEntry,
         compute: Union[ComputePool, ThreadPoolExecutor],
         max_batch: int = 32,
-        window_s: float = 0.0,
         queue_depth: int = 128,
         compute_timeout_s: float = 0.0,
         breaker: Optional[CircuitBreaker] = None,
@@ -136,7 +138,6 @@ class MicroBatcher:
             compute = ComputePool.adopt(compute)
         self._compute = compute
         self.max_batch = max_batch
-        self.window_s = window_s
         self.queue_depth = queue_depth
         self.compute_timeout_s = compute_timeout_s
         self.breaker = breaker if breaker is not None else CircuitBreaker()
@@ -204,7 +205,7 @@ class MicroBatcher:
             batches_ahead += 1
         busy = self._pending or self._inflight
         service = self.estimator.budget() if busy else value
-        return self.window_s + batches_ahead * service
+        return batches_ahead * service
 
     def depth_trend(self) -> dict:
         """Min/mean/max queue depth over the retained flush samples."""
@@ -377,12 +378,6 @@ class MicroBatcher:
                 await self._arrival.wait()
                 self._arrival.clear()
                 continue
-            if (
-                self.window_s > 0
-                and len(self._pending) < self.max_batch
-                and not self._draining
-            ):
-                await asyncio.sleep(self.window_s)
             batch = self._take_batch()
             _telemetry.set_gauge("serve.queue_depth", len(self._pending))
             if not batch:

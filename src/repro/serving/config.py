@@ -12,7 +12,6 @@ import dataclasses
 from typing import Tuple
 
 from ..errors import ConfigurationError
-from ..units import MILLI
 
 __all__ = ["ServingConfig"]
 
@@ -31,12 +30,10 @@ class ServingConfig:
         cached; a cold start trains them first).
     max_batch:
         Coalescing bound — at most this many queued requests merge into
-        one forward pass.  ``1`` disables cross-request batching.
-    batch_window_s:
-        Coalescing window in seconds: after the first request of a
-        batch arrives, the coalescer waits this long for companions
-        before flushing (0 flushes immediately; latency floor vs
-        batching opportunity).
+        one forward pass.  ``1`` disables cross-request batching.  There
+        is no coalescing timer: a flush starts as soon as a request is
+        pending, and a batch is whatever queued behind the previous
+        flush.
     queue_depth:
         Backpressure bound — pending requests beyond this are rejected
         with :class:`~repro.errors.BackpressureError` (HTTP 429)
@@ -81,7 +78,6 @@ class ServingConfig:
     port: int = 0
     models: Tuple[str, ...] = ("mlp-1",)
     max_batch: int = 32
-    batch_window_s: float = 2 * MILLI
     queue_depth: int = 128
     compute_workers: int = 1
     drain_timeout_s: float = 10.0
@@ -100,10 +96,6 @@ class ServingConfig:
         if self.max_batch < 1:
             raise ConfigurationError(
                 f"max_batch must be >= 1, got {self.max_batch!r}"
-            )
-        if self.batch_window_s < 0:
-            raise ConfigurationError(
-                f"batch window must be >= 0, got {self.batch_window_s!r}"
             )
         if self.queue_depth < 1:
             raise ConfigurationError(

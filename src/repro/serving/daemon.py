@@ -208,7 +208,6 @@ class ServingDaemon:
                 self.registry.get(name),
                 self._compute,
                 max_batch=config.max_batch,
-                window_s=config.batch_window_s,
                 queue_depth=config.queue_depth,
                 compute_timeout_s=config.compute_timeout_s,
                 breaker=CircuitBreaker(

@@ -23,8 +23,7 @@ from tests.serving.conftest import (  # noqa: F401  (re-exported fixtures)
 
 
 def chaos_config(**kwargs):
-    defaults = dict(port=0, models=("toy",), batch_window_s=0.0,
-                    max_batch=8)
+    defaults = dict(port=0, models=("toy",), max_batch=8)
     defaults.update(kwargs)
     return ServingConfig(**defaults)
 

@@ -1,5 +1,6 @@
 """Serving fixtures: a fast toy registry (no training, ideal backend)."""
 
+import threading
 import time
 
 import numpy as np
@@ -70,6 +71,32 @@ def scripted_entry(entry):
         )
 
     return make
+
+
+class GatedEntry(ModelEntry):
+    """Each forward pass signals ``entered`` and then blocks until the
+    test sets ``release``, so a test decides what queues behind a
+    running flush without any wall-clock sleep."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def predict(self, x):
+        self.entered.set()
+        if not self.release.wait(timeout=10.0):
+            raise RuntimeError("gated compute was never released")
+        return super().predict(x)
+
+
+@pytest.fixture
+def gated_entry(entry):
+    return GatedEntry(
+        name=entry.name,
+        executor=entry.executor,
+        input_shape=entry.input_shape,
+    )
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ from repro.errors import (
 )
 from repro.faults import VariationInjector
 from repro.serving import CircuitBreaker, MicroBatcher, ServingConfig
+from repro.serving.batcher import _Pending
 
 from .conftest import serial_labels
 from .test_resilience import FakeClock
@@ -36,7 +37,7 @@ def _bounded(awaitable, timeout=WAIT_S):
 
 def _batcher(entry, **kwargs):
     compute = ThreadPoolExecutor(max_workers=1)
-    defaults = dict(max_batch=8, window_s=0.0, queue_depth=32)
+    defaults = dict(max_batch=8, queue_depth=32)
     defaults.update(kwargs)
     return MicroBatcher(entry, compute, **defaults), compute
 
@@ -47,7 +48,7 @@ class TestCoalescingIdentity:
         executor pass over the same rows."""
 
         async def body():
-            batcher, compute = _batcher(entry, window_s=0.005)
+            batcher, compute = _batcher(entry)
             batcher.start()
             try:
                 tasks = [
@@ -63,14 +64,15 @@ class TestCoalescingIdentity:
         served = [int(r.predictions[0]) for r in results]
         assert served == serial_labels(entry, rows)
         assert any(r.batch_requests > 1 for r in results), (
-            "no request was ever coalesced — the window never batched"
+            "no request was ever coalesced — submits gathered in one "
+            "loop tick never shared a flush"
         )
 
     def test_multi_row_requests_scatter_correctly(self, entry, rng):
         chunks = [rng.random((n, 12)) for n in (3, 1, 4)]
 
         async def body():
-            batcher, compute = _batcher(entry, window_s=0.005)
+            batcher, compute = _batcher(entry)
             batcher.start()
             try:
                 return await _bounded(asyncio.gather(
@@ -91,7 +93,7 @@ class TestCoalescingIdentity:
         chunks = [rng.random((n, 12)) for n in (2, 6)]
 
         async def body():
-            batcher, compute = _batcher(entry, window_s=0.005)
+            batcher, compute = _batcher(entry)
             batcher.start()
             try:
                 return await _bounded(asyncio.gather(
@@ -109,6 +111,78 @@ class TestCoalescingIdentity:
         assert results[1].mvm_launches == pytest.approx(
             3 * results[0].mvm_launches
         )
+
+
+class TestFlushRule:
+    """The coalescer has no timer: it flushes as soon as a request is
+    pending, and a batch is whatever queued behind the previous flush."""
+
+    def test_lone_request_flushes_without_timed_wait(
+        self, entry, rows, monkeypatch
+    ):
+        import repro.serving.batcher as batcher_module
+
+        real_sleep = asyncio.sleep
+        slept = []
+
+        async def recording_sleep(delay, *args, **kwargs):
+            slept.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
+
+        monkeypatch.setattr(batcher_module.asyncio, "sleep", recording_sleep)
+
+        async def body():
+            batcher, compute = _batcher(entry)
+            batcher.start()
+            try:
+                return await _bounded(batcher.submit(rows[0]))
+            finally:
+                await _bounded(batcher.drain())
+                compute.shutdown()
+
+        result = _run(body())
+        assert slept == [], f"an idle batcher slept {slept} before flushing"
+        assert result.batch_requests == 1
+        assert int(result.predictions[0]) == serial_labels(entry, rows[:1])[0]
+
+    def test_requests_queued_behind_a_flush_ride_the_next_one(
+        self, gated_entry, rows
+    ):
+        """K requests that arrive while a flush is blocked in compute
+        leave together in the next flush, byte-identical to serial."""
+        k = 5
+
+        async def body():
+            batcher, compute = _batcher(gated_entry, max_batch=8)
+            batcher.start()
+            try:
+                first = asyncio.ensure_future(batcher.submit(rows[0]))
+                entered = await _bounded(
+                    asyncio.to_thread(gated_entry.entered.wait, WAIT_S)
+                )
+                assert entered, "the first flush never reached compute"
+                queued = [
+                    asyncio.ensure_future(batcher.submit(row))
+                    for row in rows[1 : 1 + k]
+                ]
+
+                async def queued_up():
+                    while batcher.depth < k:
+                        await asyncio.sleep(0)
+
+                await _bounded(queued_up())
+                gated_entry.release.set()
+                return await _bounded(asyncio.gather(first, *queued))
+            finally:
+                gated_entry.release.set()
+                await _bounded(batcher.drain())
+                compute.shutdown()
+
+        first, *queued = _run(body())
+        assert first.batch_requests == 1
+        assert [r.batch_requests for r in queued] == [k] * k
+        served = [int(r.predictions[0]) for r in (first, *queued)]
+        assert served == serial_labels(gated_entry, rows[: 1 + k])
 
 
 class TestBackpressure:
@@ -236,6 +310,36 @@ class TestDeadlineAdmission:
         assert batcher.shed_deadline_total == 1
         assert batcher.rejected_total == 0
         assert batcher.requests_total == 0, "shed requests never enqueue"
+
+    def test_estimated_wait_is_batches_ahead_times_service(self, entry, rows):
+        """No fixed term rides on the prediction: an empty queue is one
+        mean service time, a busy one is (batches ahead) x tail budget."""
+
+        async def body():
+            batcher, compute = _batcher(entry, max_batch=2)
+            compute.shutdown()  # the coalescer never starts here
+            assert batcher._estimated_wait() is None  # no sample yet
+            for service_s in (0.010, 0.030, 0.020):
+                batcher.estimator.observe(service_s)
+            mean = batcher.estimator.value
+            budget = batcher.estimator.budget()
+            assert budget > mean
+            empty = batcher._estimated_wait()
+            # three queued (2 batches of max_batch=2) + one in flight
+            future = asyncio.get_running_loop().create_future()
+            batcher._pending.extend(
+                _Pending(x=row, future=future, enqueued=0.0)
+                for row in rows[:3]
+            )
+            queued_only = batcher._estimated_wait()
+            batcher._inflight = [batcher._pending.popleft()]
+            busy = batcher._estimated_wait()
+            return mean, budget, empty, queued_only, busy
+
+        mean, budget, empty, queued_only, busy = _run(body())
+        assert empty == pytest.approx(mean)
+        assert queued_only == pytest.approx(2 * budget)
+        assert busy == pytest.approx(3 * budget)
 
     def test_expiry_shed_at_dequeue(self, slow_entry, rows):
         """A request that ages out while queued behind a slow batch is
@@ -426,8 +530,6 @@ class TestConfig:
             ServingConfig(max_batch=0)
         with pytest.raises(ConfigurationError):
             ServingConfig(queue_depth=0)
-        with pytest.raises(ConfigurationError):
-            ServingConfig(batch_window_s=-0.1)
         with pytest.raises(ConfigurationError):
             ServingConfig(models=())
         with pytest.raises(ConfigurationError, match="together"):

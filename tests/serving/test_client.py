@@ -107,8 +107,7 @@ class TestLoadGeneratorResilience:
         from repro.chaos import ChaosPlan, ConnectionDropInjector
 
         chaos = ChaosPlan([ConnectionDropInjector(after=1, count=2)])
-        config = ServingConfig(port=0, models=("toy",),
-                               batch_window_s=0.005)
+        config = ServingConfig(port=0, models=("toy",))
         policy = RetryPolicy(max_attempts=4, base_backoff_s=0.005,
                              max_backoff_s=0.01, jitter=0.0,
                              total_budget_s=30.0, seed=3)

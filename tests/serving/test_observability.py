@@ -17,7 +17,7 @@ from repro.telemetry.openmetrics import CONTENT_TYPE, parse_openmetrics
 
 
 def _config(**kwargs):
-    defaults = dict(port=0, models=("toy",), batch_window_s=0.005)
+    defaults = dict(port=0, models=("toy",))
     defaults.update(kwargs)
     return ServingConfig(**defaults)
 
@@ -153,7 +153,7 @@ class TestStitchedTrace:
 
     def test_error_response_carries_trace_id(self, scripted_entry, rows):
         registry = ModelRegistry([scripted_entry(["fail"])])
-        config = _config(max_batch=1, batch_window_s=0.0)
+        config = _config(max_batch=1)
         with telemetry.capture() as session:
             with BackgroundServer(registry, config) as server:
                 status, doc = client.predict(
@@ -181,7 +181,7 @@ class TestLoadReportTraceIds:
         """The first (scripted-to-fail) request's server trace id lands
         in LoadReport.failed_trace_ids; later requests succeed."""
         registry = ModelRegistry([scripted_entry(["fail"])])
-        config = _config(max_batch=1, batch_window_s=0.0)
+        config = _config(max_batch=1)
         with telemetry.capture():
             with BackgroundServer(registry, config) as server:
                 report = client.run_load(
@@ -196,7 +196,7 @@ class TestLoadReportTraceIds:
     def test_failed_trace_ids_empty_without_telemetry(self, scripted_entry,
                                                       rows):
         registry = ModelRegistry([scripted_entry(["fail"])])
-        config = _config(max_batch=1, batch_window_s=0.0)
+        config = _config(max_batch=1)
         with BackgroundServer(registry, config) as server:
             report = client.run_load(
                 server.host, server.port, "toy", rows[:4],

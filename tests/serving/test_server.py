@@ -20,17 +20,18 @@ from .conftest import serial_labels
 
 
 def _config(**kwargs):
-    defaults = dict(port=0, models=("toy",), batch_window_s=0.005)
+    defaults = dict(port=0, models=("toy",))
     defaults.update(kwargs)
     return ServingConfig(**defaults)
 
 
 class TestServedIdentity:
-    def test_concurrent_requests_match_serial_predict(self, registry, entry,
+    def test_concurrent_requests_match_serial_predict(self, slow_entry,
                                                       rows):
         """N clients hammering /predict concurrently get exactly the
         labels one serial executor pass produces."""
         results = [None] * len(rows)
+        registry = ModelRegistry([slow_entry])
         with BackgroundServer(registry, _config()) as server:
             barrier = threading.Barrier(len(rows))
 
@@ -52,9 +53,9 @@ class TestServedIdentity:
 
         assert all(status == 200 for status, _ in results)
         served = [doc["predictions"][0] for _, doc in results]
-        assert served == serial_labels(entry, rows)
-        # With 24 simultaneous clients and a 5 ms window, at least one
-        # response must have shared its forward pass.
+        assert served == serial_labels(slow_entry, rows)
+        # 24 simultaneous clients against a 50 ms forward pass: the
+        # requests that queue behind the first flush share the next.
         assert max(doc["batch_requests"] for _, doc in results) > 1
 
     def test_single_request_reports_accounting_fields(self, registry, rows):
@@ -73,7 +74,7 @@ class TestServedIdentity:
 class TestBackpressureHTTP:
     def test_queue_bound_answers_429(self, slow_entry, rows):
         registry = ModelRegistry([slow_entry])
-        config = _config(max_batch=1, batch_window_s=0.0, queue_depth=2)
+        config = _config(max_batch=1, queue_depth=2)
         statuses = []
         lock = threading.Lock()
         with BackgroundServer(registry, config) as server:
@@ -182,7 +183,7 @@ class TestTelemetry:
 
     def test_rejections_counted(self, slow_entry, rows):
         registry = ModelRegistry([slow_entry])
-        config = _config(max_batch=1, batch_window_s=0.0, queue_depth=1)
+        config = _config(max_batch=1, queue_depth=1)
         with telemetry.capture() as session:
             with BackgroundServer(registry, config) as server:
                 barrier = threading.Barrier(8)
@@ -210,7 +211,7 @@ class TestDeadlineHTTP:
         """Once the EWMA is calibrated, an impossible deadline is shed
         with 503 + Retry-After — a different answer than queue-full."""
         registry = ModelRegistry([slow_entry])
-        config = _config(max_batch=1, batch_window_s=0.0)
+        config = _config(max_batch=1)
         with BackgroundServer(registry, config) as server:
             status, _ = client.predict(  # calibrates the EWMA (~50 ms)
                 server.host, server.port, "toy", rows[0]
@@ -260,7 +261,7 @@ class TestDeadlineHTTP:
         """An always-shed deadline is retried under the policy and the
         final answer carries the attempt count."""
         registry = ModelRegistry([slow_entry])
-        config = _config(max_batch=1, batch_window_s=0.0)
+        config = _config(max_batch=1)
         policy = RetryPolicy(max_attempts=3, base_backoff_s=0.001,
                              max_backoff_s=0.002, jitter=0.0,
                              total_budget_s=30.0, seed=7)
@@ -317,8 +318,7 @@ class TestDrainAbandon:
         requests get an immediate 503 — no client is left hanging."""
         stalling = scripted_entry([0.25] * 8)
         registry = ModelRegistry([stalling])
-        config = _config(max_batch=1, batch_window_s=0.0,
-                         drain_timeout_s=0.05)
+        config = _config(max_batch=1, drain_timeout_s=0.05)
         results = []
         lock = threading.Lock()
 
