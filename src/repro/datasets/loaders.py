@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import zipfile
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ArtifactError, ShapeError
+from ..errors import ArtifactError, ConfigurationError, ShapeError
 from ..store.atomic import atomic_write_npz
 
 __all__ = [
@@ -126,10 +127,22 @@ def load_dataset(path: str) -> Dataset:
                    name=name)
 
 
+def _require_int(name: str, value: object, minimum: int) -> int:
+    """``value`` as an ``int`` if it is an integer ``>= minimum``, else
+    :class:`~repro.errors.ConfigurationError` (``bool`` and integral
+    floats such as ``28.0`` are rejected too)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise ConfigurationError(
+            f"{name} must be an integer >= {minimum}, got {value!r}"
+        )
+    return int(value)
+
+
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """One-hot encode integer labels."""
     labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() >= num_classes:
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ShapeError(
             f"labels out of range [0, {num_classes}): "
             f"[{labels.min()}, {labels.max()}]"

@@ -20,7 +20,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
-from .loaders import Dataset
+from .loaders import Dataset, _require_int
 
 __all__ = ["SyntheticCIFAR", "make_cifar_like"]
 
@@ -50,13 +50,13 @@ class SyntheticCIFAR:
         noise: float = 0.06,
         seed: int = 0,
     ) -> None:
-        if size < 8:
-            raise ConfigurationError(f"size must be >= 8, got {size!r}")
+        size = _require_int("size", size, 8)
+        seed = _require_int("seed", seed, 0)
         if num_classes < 2:
             raise ConfigurationError("need at least two classes")
         if gratings < 1:
             raise ConfigurationError("need at least one grating per class")
-        if noise < 0:
+        if not noise >= 0:  # also rejects NaN
             raise ConfigurationError("noise must be >= 0")
         self.size = size
         self.num_classes = num_classes
@@ -110,10 +110,7 @@ class SyntheticCIFAR:
 
     def generate(self, n: int) -> Dataset:
         """A balanced dataset of ``n`` images."""
-        if n < self.num_classes:
-            raise ConfigurationError(
-                f"need at least {self.num_classes} samples, got {n}"
-            )
+        n = _require_int("n", n, self.num_classes)
         rng = np.random.default_rng(self.seed)
         labels = np.arange(n) % self.num_classes
         rng.shuffle(labels)

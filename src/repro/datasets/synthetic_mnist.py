@@ -13,10 +13,9 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from ..errors import ConfigurationError
-from .loaders import Dataset
+from .loaders import Dataset, _require_int
 
 __all__ = ["SyntheticMNIST", "make_mnist_like"]
 
@@ -49,35 +48,92 @@ _DIGIT_SEGMENTS: Dict[int, List[str]] = {
 }
 
 
-def _render_strokes(
-    segments: List[str],
-    size: int,
-    thickness: float,
-    offset: Tuple[float, float],
-    angle: float,
-    scale: float,
-) -> np.ndarray:
-    """Rasterise strokes with an affine-jittered glyph box."""
+#: Images rasterised and blurred at once; bounds the blur's temporaries
+#: whatever the dataset size.
+_CHUNK = 256
+
+
+def _rasterise(labels: np.ndarray, pose: np.ndarray, size: int) -> np.ndarray:
+    """Anti-aliased strokes of each label's glyph, ``(len(labels), size,
+    size)``.
+
+    ``pose`` is ``(6, len(labels), 1, 1)``: offset x, offset y,
+    ``cos(-angle)``, ``sin(-angle)``, scale and stroke thickness per
+    image.  Images are grouped by label, so each group computes only its
+    digit's segments.
+    """
     ys, xs = np.mgrid[0:size, 0:size]
     px = xs / (size - 1)
     py = ys / (size - 1)
-    # Inverse-transform pixel coordinates into glyph space.
-    cx = px - 0.5 - offset[0]
-    cy = py - 0.5 - offset[1]
-    cos_a, sin_a = np.cos(-angle), np.sin(-angle)
-    gx = (cos_a * cx - sin_a * cy) / scale + 0.5
-    gy = (sin_a * cx + cos_a * cy) / scale + 0.5
-
-    image = np.zeros((size, size), dtype=float)
-    for seg in segments:
-        (x0, y0), (x1, y1) = _SEGMENTS[seg]
-        dx, dy = x1 - x0, y1 - y0
-        length_sq = dx * dx + dy * dy
-        t = ((gx - x0) * dx + (gy - y0) * dy) / length_sq
-        t = np.clip(t, 0.0, 1.0)
-        dist = np.hypot(gx - (x0 + t * dx), gy - (y0 + t * dy))
-        image = np.maximum(image, np.clip(1.0 - dist / thickness, 0.0, 1.0))
+    image = np.zeros((len(labels), size, size))
+    for digit, segments in _DIGIT_SEGMENTS.items():
+        group = np.flatnonzero(labels == digit)
+        if not len(group):
+            continue
+        off_x, off_y, cos_a, sin_a, scale, thickness = pose[:, group]
+        # Inverse-transform pixel coordinates into glyph space.
+        cx = px - 0.5 - off_x
+        cy = py - 0.5 - off_y
+        gx = (cos_a * cx - sin_a * cy) / scale + 0.5
+        gy = (sin_a * cx + cos_a * cy) / scale + 0.5
+        strokes = np.zeros_like(gx)
+        for seg in segments:
+            (x0, y0), (x1, y1) = _SEGMENTS[seg]
+            dx, dy = x1 - x0, y1 - y0
+            length_sq = dx * dx + dy * dy
+            t = ((gx - x0) * dx + (gy - y0) * dy) / length_sq
+            t = np.clip(t, 0.0, 1.0)
+            dist = np.hypot(gx - (x0 + t * dx), gy - (y0 + t * dy))
+            np.maximum(strokes, np.clip(1.0 - dist / thickness, 0.0, 1.0),
+                       out=strokes)
+        image[group] = strokes
     return image
+
+
+def _gaussian_blur(images: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Blur each ``(size, size)`` image of ``images`` with its own σ.
+
+    Byte-identical to ``scipy.ndimage.gaussian_filter(image, sigma)``
+    (``mode="reflect"``, ``truncate=4.0``) for non-negative images:
+    the same normalised kernel of radius ``int(4σ + 0.5)``, then
+    :func:`_correlate` along axis 0 of each image and then axis 1.
+    Images whose radius is below the batch maximum get zero weights at
+    the far taps, which add exactly ``+0`` to a non-negative sum.
+    """
+    radii = (4.0 * sigmas + 0.5).astype(int)
+    weights = np.zeros((int(radii.max()) + 1, len(sigmas), 1, 1))
+    for i, (sigma, radius) in enumerate(zip(sigmas, radii)):
+        x = np.arange(-radius, radius + 1)
+        phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+        weights[: radius + 1, i, 0, 0] = (phi / phi.sum())[radius:]
+    return _correlate(_correlate(images, weights, axis=1), weights, axis=2)
+
+
+def _correlate(x: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+    """scipy's symmetric ``correlate1d`` along ``axis``, ``mode="reflect"``.
+
+    ``weights[j]`` is tap ``±j``.  The boundary is
+    ``np.pad(mode="symmetric")`` (scipy's ``reflect``), and the sum runs
+    in scipy's order: ``x·w₀`` first, then ``(x[i−j] + x[i+j])·w_j``
+    for ``j = r … 1``, farthest tap first.
+    """
+    reach = len(weights) - 1
+    width = [(0, 0)] * x.ndim
+    width[axis] = (reach, reach)
+    padded = np.pad(x, width, mode="symmetric")
+    index = [slice(None)] * x.ndim
+
+    def tap(offset: int) -> np.ndarray:
+        index[axis] = slice(reach + offset, reach + offset + x.shape[axis])
+        return padded[tuple(index)]
+
+    out = x * weights[0]
+    pair = np.empty_like(out)
+    for j in range(reach, 0, -1):
+        np.add(tap(-j), tap(j), out=pair)
+        pair *= weights[j]
+        out += pair
+    return out
 
 
 class SyntheticMNIST:
@@ -104,9 +160,9 @@ class SyntheticMNIST:
         noise: float = 0.08,
         seed: int = 0,
     ) -> None:
-        if size < 8:
-            raise ConfigurationError(f"size must be >= 8, got {size!r}")
-        if jitter < 0 or noise < 0:
+        size = _require_int("size", size, 8)
+        seed = _require_int("seed", seed, 0)
+        if not (jitter >= 0 and noise >= 0):  # also rejects NaN
             raise ConfigurationError("jitter and noise must be >= 0")
         self.size = size
         self.jitter = jitter
@@ -117,35 +173,50 @@ class SyntheticMNIST:
         """One ``(size, size)`` image of digit ``label``."""
         if label not in _DIGIT_SEGMENTS:
             raise ConfigurationError(f"label must be 0-9, got {label!r}")
-        j = self.jitter
-        offset = (rng.uniform(-0.08, 0.08) * j, rng.uniform(-0.08, 0.08) * j)
-        angle = rng.uniform(-0.18, 0.18) * j
-        scale = 1.0 + rng.uniform(-0.15, 0.15) * j
-        thickness = rng.uniform(0.06, 0.11)
-        image = _render_strokes(
-            _DIGIT_SEGMENTS[label], self.size, thickness, offset, angle, scale
-        )
-        image = ndimage.gaussian_filter(image, sigma=rng.uniform(0.4, 0.8))
-        if self.noise:
-            image = image + rng.normal(0.0, self.noise, image.shape)
-        return np.clip(image, 0.0, 1.0)
+        return self._render(np.array([label]), rng)[0]
 
     def generate(self, n: int) -> Dataset:
         """A balanced dataset of ``n`` images."""
-        if n < self.num_classes:
-            raise ConfigurationError(
-                f"need at least {self.num_classes} samples, got {n}"
-            )
+        n = _require_int("n", n, self.num_classes)
         rng = np.random.default_rng(self.seed)
         labels = np.arange(n) % self.num_classes
         rng.shuffle(labels)
-        images = np.stack([self.sample(int(lbl), rng) for lbl in labels])
         return Dataset(
-            images=images.astype(float),
+            images=self._render(labels, rng),
             labels=labels.astype(int),
             num_classes=self.num_classes,
             name=f"synthetic-mnist-{self.size}",
         )
+
+    def _render(self, labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """``(len(labels), size, size)`` images of ``labels``.
+
+        The only per-image loop draws from ``rng``, in a fixed order per
+        image: offset x, offset y, angle, scale, stroke thickness, blur
+        σ, then the noise block.  Rasterising and blurring run over
+        chunks of the batch; the noise lands in the output up front and
+        the blurred strokes are added to it.
+        """
+        n, size, j = len(labels), self.size, self.jitter
+        pose = np.empty((6, n, 1, 1))
+        off_x, off_y, cos_a, sin_a, scale, thickness = pose
+        sigmas = np.empty(n)
+        images = np.zeros((n, size, size))
+        for i in range(n):
+            off_x[i] = rng.uniform(-0.08, 0.08) * j
+            off_y[i] = rng.uniform(-0.08, 0.08) * j
+            angle = rng.uniform(-0.18, 0.18) * j
+            cos_a[i], sin_a[i] = np.cos(-angle), np.sin(-angle)
+            scale[i] = 1.0 + rng.uniform(-0.15, 0.15) * j
+            thickness[i] = rng.uniform(0.06, 0.11)
+            sigmas[i] = rng.uniform(0.4, 0.8)
+            if self.noise:
+                images[i] = rng.normal(0.0, self.noise, (size, size))
+        for start in range(0, n, _CHUNK):
+            chunk = slice(start, start + _CHUNK)
+            strokes = _rasterise(labels[chunk], pose[:, chunk], size)
+            images[chunk] += _gaussian_blur(strokes, sigmas[chunk])
+        return np.clip(images, 0.0, 1.0, out=images)
 
 
 def make_mnist_like(n: int = 2000, seed: int = 0, size: int = 28) -> Dataset:
