@@ -12,10 +12,6 @@ from repro.core.mvm import MVMMode
 from repro.experiments.networks import get_benchmark_networks
 from repro.mapping import ReSiPEBackend, compile_network, plan_deployment
 
-_INPUT_HW = {"mlp-1": None, "mlp-2": None, "cnn-1": (28, 28),
-             "cnn-2": (16, 16), "cnn-3": (16, 16), "cnn-4": (16, 16)}
-
-
 def _measure(keys):
     nets = get_benchmark_networks(keys=list(keys), n_samples=600)
     rows = []
@@ -23,7 +19,7 @@ def _measure(keys):
         mapped = compile_network(
             net.model, ReSiPEBackend(mode=MVMMode.LINEAR)
         )
-        report = plan_deployment(mapped, input_hw=_INPUT_HW[net.spec.key])
+        report = plan_deployment(mapped, input_hw=net.input_hw)
         rows.append([
             net.spec.display,
             report.total_tiles,

@@ -157,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="network key (e.g. mlp-2, cnn-1)")
     deploy.add_argument("--samples", type=int, default=800,
                         help="synthetic dataset size for (cached) training")
-    deploy.add_argument("--simulate", type=int, default=0, metavar="N",
-                        help="also pipeline-simulate N samples (with Gantt)")
     deploy.add_argument("--save-report", metavar="PATH", default=None,
                         help="also write the report as JSON (atomic)")
 
@@ -386,10 +384,6 @@ def _run_scaling(args: argparse.Namespace) -> str:
     return render_scaling(run_scaling(nodes=[n * 1e-9 for n in args.nodes]))
 
 
-_DEPLOY_INPUT_HW = {"mlp-1": None, "mlp-2": None, "cnn-1": (28, 28),
-                    "cnn-2": (16, 16), "cnn-3": (16, 16), "cnn-4": (16, 16)}
-
-
 def _run_deploy(args: argparse.Namespace) -> str:
     from .core.mvm import MVMMode
     from .experiments.networks import get_benchmark_networks
@@ -397,23 +391,11 @@ def _run_deploy(args: argparse.Namespace) -> str:
 
     net = get_benchmark_networks(keys=[args.network], n_samples=args.samples)[0]
     mapped = compile_network(net.model, ReSiPEBackend(mode=MVMMode.LINEAR))
-    report = plan_deployment(
-        mapped, input_hw=_DEPLOY_INPUT_HW.get(args.network)
-    )
+    report = plan_deployment(mapped, input_hw=net.input_hw)
     text = report.render()
     if args.save_report:
         report.save(args.save_report)
         text += f"\n\nreport saved to {args.save_report}"
-    if args.simulate > 0:
-        from .arch import PipelineSimulator, chip_from_deployment
-        from .arch.trace import render_gantt, utilisation_report
-
-        chip = chip_from_deployment(
-            report, CircuitParameters.paper().slice_length
-        )
-        result = PipelineSimulator(chip).run(args.simulate)
-        text += "\n\n" + utilisation_report(result)
-        text += "\n\n" + render_gantt(result)
     return text
 
 

@@ -18,6 +18,8 @@ testable.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from typing import Dict, List, Tuple
 
 from ..errors import ConfigurationError
@@ -132,17 +134,19 @@ def schedule_pipeline(
     Raises
     ------
     ConfigurationError
-        On invalid dimensions or if validation detects an engine booked
-        for two different samples in one slot (cannot happen with the
+        On non-int or non-positive dimensions, a non-finite or
+        non-positive slice length, or if validation detects an engine
+        booked for two different samples in one slot (cannot happen with the
         built-in placements; guards future schedulers).
     """
-    if num_layers < 1 or num_samples < 1:
+    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+               and n >= 1 for n in (num_layers, num_samples)):
         raise ConfigurationError(
-            f"need >= 1 layer and sample, got {num_layers} layers, "
-            f"{num_samples} samples"
+            f"need int >= 1 layers and samples, got {num_layers!r} layers, "
+            f"{num_samples!r} samples"
         )
-    if slice_length <= 0:
-        raise ConfigurationError(f"slice length must be positive, got {slice_length!r}")
+    if not (slice_length > 0 and math.isfinite(slice_length)):
+        raise ConfigurationError(f"slice length must be finite and > 0, got {slice_length!r}")
 
     tasks: List[LayerTask] = []
     for k in range(num_samples):

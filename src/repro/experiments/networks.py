@@ -208,6 +208,12 @@ class TrainedNetwork:
     test: Dataset
     software_accuracy: float
 
+    @property
+    def input_hw(self) -> Optional[Tuple[int, int]]:
+        """``(H, W)`` of ``(N, C, H, W)`` images; ``None`` when flattened."""
+        shape = self.test.images.shape
+        return (shape[2], shape[3]) if len(shape) == 4 else None
+
 
 # ----------------------------------------------------------------------
 # Training with caching

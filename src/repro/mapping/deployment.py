@@ -5,7 +5,8 @@ The paper evaluates one engine (Table II) and network accuracy
 tiles a network consumes, the silicon area, the energy per inference
 and the achievable frame rate under the two-slice pipeline.  This
 module derives all of that from a compiled :class:`MappedNetwork` and
-the :class:`~repro.core.power.ReSiPEPowerModel`:
+the :class:`~repro.core.power.ReSiPEPowerModel`; it is the one
+per-network latency and throughput model:
 
 * every programmed tile is one ReSiPE engine (differential mapping
   means two tile banks per layer);
@@ -21,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from typing import List, Optional
 
 from ..config import CircuitParameters
@@ -28,8 +30,8 @@ from ..core.power import ReSiPEPowerModel
 from ..core.pipeline import schedule_pipeline
 from ..errors import ArtifactError, MappingError
 from ..store.atomic import atomic_write_json
-from ..nn.conv import Conv2D
-from ..nn.layers import Dense
+from ..nn.conv import AvgPool2D, MaxPool2D
+from ..nn.layers import Dense, Flatten
 from ..analysis.tables import render_table
 from .compiler import MappedNetwork
 from .remap import spare_columns_for
@@ -186,6 +188,16 @@ class DeploymentReport:
         return cls.from_dict(payload)
 
 
+def _checked_input_hw(input_hw: Optional[tuple]) -> Optional[tuple]:
+    """``input_hw`` as two plain positive ints (``None`` passes)."""
+    sides = tuple(input_hw) if isinstance(input_hw, (tuple, list)) else ()
+    if input_hw is not None and (len(sides) != 2 or any(
+            isinstance(side, bool) or not isinstance(side, numbers.Integral)
+            or side < 1 for side in sides)):
+        raise MappingError(f"input_hw must be two positive ints, got {input_hw!r}")
+    return None if input_hw is None else (int(sides[0]), int(sides[1]))
+
+
 def plan_deployment(
     network: MappedNetwork,
     params: Optional[CircuitParameters] = None,
@@ -193,6 +205,15 @@ def plan_deployment(
     spare_fraction: float = 0.0,
 ) -> DeploymentReport:
     """Derive the chip-level deployment of a compiled network.
+
+    Timing model: each layer is busy ``occupancy = 2 × MVMs`` slices
+    per input, and the busiest layer sets the throughput ``1 / (max
+    occupancy × slice)``.  Conv positions stream through every layer,
+    so the latency ``(L − 1 + max occupancy) × slice`` for ``L`` mapped
+    layers is a lower bound; layers that wait for a whole sample give
+    the upper bound ``(Σ occupancy − (L − 1)) × slice``.  They agree
+    when at most one layer is busy for more than 2 slices (every
+    all-Dense net); for ``cnn-1`` they are 1571 and 1769 slices.
 
     Parameters
     ----------
@@ -204,6 +225,7 @@ def plan_deployment(
     input_hw:
         ``(H, W)`` of the model input, required when the model contains
         Conv2D layers (spatial sizes are traced through convs/pools).
+        Sizes the model cannot run raise :class:`MappingError`.
     spare_fraction:
         Fraction of each layer's logical columns to reserve as spare
         capacity for fault remapping (see
@@ -216,7 +238,7 @@ def plan_deployment(
     engine_report = engine.budget()
 
     # Trace spatial dimensions through the network to count conv MVMs.
-    spatial = input_hw
+    spatial = _checked_input_hw(input_hw)
     layers: List[LayerDeployment] = []
     spare_tiles = 0
     for layer, stage in zip(network.model, network.stages):
@@ -237,6 +259,8 @@ def plan_deployment(
                     )
                 h = (spatial[0] + 2 * source.pad - source.kernel) // source.stride + 1
                 w = (spatial[1] + 2 * source.pad - source.kernel) // source.stride + 1
+                if h < 1 or w < 1:
+                    raise MappingError(f"{stage.name}: no output position on {spatial}")
                 spatial = (h, w)
                 mvms = h * w
             layers.append(
@@ -247,13 +271,15 @@ def plan_deployment(
                     occupancy_slices=2 * mvms,
                 )
             )
-        else:
+        elif isinstance(layer, (MaxPool2D, AvgPool2D)):
             # Pooling shrinks spatial dims; flatten drops them.
-            kind = type(layer).__name__
-            if spatial is not None and kind in ("MaxPool2D", "AvgPool2D"):
-                spatial = (spatial[0] // layer.kernel, spatial[1] // layer.kernel)
-            elif kind == "Flatten":
-                spatial = None
+            if spatial is not None:
+                k = layer.kernel
+                if spatial[0] % k or spatial[1] % k:
+                    raise MappingError(f"{layer.name}: {spatial} not divisible by {k}")
+                spatial = (spatial[0] // k, spatial[1] // k)
+        elif isinstance(layer, Flatten):
+            spatial = None
     if not layers:
         raise MappingError("network has no mapped layers")
 

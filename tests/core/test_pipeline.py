@@ -83,7 +83,11 @@ class TestValidation:
             schedule_pipeline(0, 1, SLICE)
         with pytest.raises(ConfigurationError):
             schedule_pipeline(1, 0, SLICE)
+        for layers, samples in [(2.5, 1), (1, 2.0), (True, 1), (1, False)]:
+            with pytest.raises(ConfigurationError):
+                schedule_pipeline(layers, samples, SLICE)
 
     def test_rejects_bad_slice(self):
-        with pytest.raises(ConfigurationError):
-            schedule_pipeline(1, 1, 0.0)
+        for slice_length in [0.0, -SLICE, float("nan"), float("inf")]:
+            with pytest.raises(ConfigurationError):
+                schedule_pipeline(1, 1, slice_length)

@@ -103,15 +103,18 @@ class TestCLI:
         assert "65 nm" in out
         assert "28 nm" in out
 
-    def test_deploy_with_simulation(self, capsys):
-        code = main([
-            "deploy", "--network", "mlp-1", "--samples", "300",
-            "--simulate", "4",
-        ])
+    def test_deploy(self, capsys):
+        code = main(["deploy", "--network", "mlp-1", "--samples", "300"])
         assert code == 0
         out = capsys.readouterr().out
         assert "Deployment" in out
-        assert "Pipeline simulation" in out
+        assert "latency / inference" in out
+
+    def test_deploy_has_no_simulate_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["deploy", "--network", "mlp-1", "--simulate", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --simulate" in capsys.readouterr().err
 
 
 class TestCacheCLI:

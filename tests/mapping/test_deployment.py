@@ -5,9 +5,40 @@ import pytest
 
 from repro.config import CircuitParameters
 from repro.core.mvm import MVMMode
+from repro.core.pipeline import schedule_pipeline
 from repro.errors import MappingError
 from repro.mapping import ReSiPEBackend, compile_network, plan_deployment
-from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sequential
+from repro.nn import AvgPool2D, Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sequential
+
+SLICE = CircuitParameters.paper().slice_length
+
+
+def _reference_schedule(occupancies, samples):
+    """Slot recurrence of a pipeline whose layers take whole samples.
+
+    Layer ``i`` starts sample ``k`` once its engines are free and one
+    slice before layer ``i - 1`` finishes ``k`` (S2 of layer n is S1 of
+    layer n+1); it is then busy ``occupancies[i]`` slices.  Returns
+    ``(starts, finishes)`` as ``[layer][sample]`` slots from slot 0.
+    """
+    starts = [[0] * samples for _ in occupancies]
+    finishes = [[0] * samples for _ in occupancies]
+    for k in range(samples):
+        for i, occupancy in enumerate(occupancies):
+            ready = finishes[i - 1][k] - 1 if i else 0
+            free = finishes[i][k - 1] if k else 0
+            starts[i][k] = max(ready, free)
+            finishes[i][k] = starts[i][k] + occupancy
+    return starts, finishes
+
+
+def _occupancies(report):
+    return [layer.occupancy_slices for layer in report.layers]
+
+
+def _compiled(layers, name):
+    model = Sequential(layers, name=name)
+    return compile_network(model, ReSiPEBackend(mode=MVMMode.LINEAR))
 
 
 @pytest.fixture
@@ -15,6 +46,16 @@ def mlp_network(rng):
     model = Sequential([Dense(40, 16, rng=rng), ReLU(), Dense(16, 4, rng=rng)],
                        name="mlp")
     return compile_network(model, ReSiPEBackend(mode=MVMMode.LINEAR))
+
+
+@pytest.fixture
+def two_conv_network(rng):
+    return _compiled(
+        [Conv2D(1, 4, kernel=3, pad=1, rng=rng), ReLU(), MaxPool2D(2),
+         Conv2D(4, 4, kernel=3, pad=1, rng=rng), ReLU(),
+         Flatten(), Dense(4 * 4 * 4, 4, rng=rng)],
+        "cnn2",
+    )
 
 
 @pytest.fixture
@@ -90,6 +131,73 @@ class TestConvDeployment:
         text = plan_deployment(conv_network, input_hw=(8, 8)).render()
         assert "Deployment" in text
         assert "inferences/s" in text
+
+
+class TestInputValidation:
+    @pytest.fixture
+    def unpadded_network(self, rng):
+        return _compiled(
+            [Conv2D(1, 2, kernel=5, pad=0, rng=rng), ReLU(), AvgPool2D(2),
+             Flatten(), Dense(2 * 4 * 4, 4, rng=rng)],
+            "unpadded",
+        )
+
+    def test_runnable_size_is_planned(self, unpadded_network):
+        report = plan_deployment(unpadded_network, input_hw=(12, 12))
+        assert [l.mvms_per_input for l in report.layers] == [64, 1]
+
+    @pytest.mark.parametrize("input_hw", [
+        (2, 2), (0, 0), (-5, -5),  # conv leaves no output position
+        (7, 7),  # 3x3 conv output is not divisible by the 2x2 pool
+        (12, 12.0), (True, 12), (12,), 12,  # not two positive ints
+    ], ids=["2x2", "0x0", "negative", "7x7", "float", "bool", "one-side", "scalar"])
+    def test_rejects_sizes_the_model_cannot_run(self, unpadded_network, input_hw):
+        with pytest.raises(MappingError):
+            plan_deployment(unpadded_network, input_hw=input_hw)
+
+
+class TestAgainstReference:
+    """The closed forms checked against ``_reference_schedule``."""
+
+    @pytest.mark.parametrize("layers,samples", [(1, 4), (3, 6), (5, 10)])
+    def test_matches_schedule_pipeline(self, layers, samples):
+        starts, finishes = _reference_schedule([2] * layers, samples)
+        analytic = schedule_pipeline(layers, samples, SLICE)
+        assert finishes[-1][0] == analytic.sample_latency_slices
+        assert starts[0][1] - starts[0][0] == analytic.initiation_interval_slices
+        assert finishes[-1][-1] == analytic.total_slices
+
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    def test_dense_latency_and_throughput(self, rng, depth):
+        widths = [20, 16, 12, 8, 4][: depth + 1]
+        layers = [Dense(a, b, rng=rng) for a, b in zip(widths, widths[1:])]
+        report = plan_deployment(_compiled(layers, "mlp"))
+        _, finishes = _reference_schedule(_occupancies(report), 6)
+        assert report.latency_per_inference == pytest.approx(finishes[-1][0] * SLICE)
+        interval = finishes[-1][-1] - finishes[-1][-2]
+        assert report.throughput == pytest.approx(1.0 / (interval * SLICE))
+
+    def test_conv_throughput(self, two_conv_network):
+        report = plan_deployment(two_conv_network, input_hw=(8, 8))
+        _, finishes = _reference_schedule(_occupancies(report), 6)
+        interval = finishes[-1][-1] - finishes[-1][-2]
+        assert interval == max(_occupancies(report))
+        assert report.throughput == pytest.approx(1.0 / (interval * SLICE))
+
+    @pytest.mark.parametrize("net", ["conv_network", "two_conv_network"])
+    def test_conv_latency_is_streaming_lower_bound(self, net, request):
+        report = plan_deployment(request.getfixturevalue(net), input_hw=(8, 8))
+        occupancies = _occupancies(report)
+        streaming = len(occupancies) - 1 + max(occupancies)
+        assert report.latency_per_inference == pytest.approx(streaming * SLICE)
+        # Whole-sample layers give sum - (L - 1), equal to the planner
+        # exactly when at most one layer is busy for more than 2 slices.
+        _, finishes = _reference_schedule(occupancies, 1)
+        whole_sample = finishes[-1][0]
+        assert whole_sample == sum(occupancies) - (len(occupancies) - 1)
+        assert streaming <= whole_sample
+        busy = sum(occupancy > 2 for occupancy in occupancies)
+        assert (streaming == whole_sample) == (busy <= 1)
 
 
 class TestSpareBudget:
