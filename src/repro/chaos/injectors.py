@@ -271,8 +271,8 @@ class ChaosPlan:
     thread-safe: ``before_compute`` runs on compute threads,
     ``drop_connection`` on the event loop, ``on_model_load`` at
     startup — a single lock serialises injector state updates so
-    seeded streams and window counters stay deterministic even with
-    ``compute_workers > 1``.
+    seeded streams and window counters stay deterministic whichever
+    thread a hook runs on.
     """
 
     def __init__(self, injectors: Sequence[Injector] = ()) -> None:

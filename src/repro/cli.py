@@ -212,9 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-batching", action="store_true",
                        help="serve each request alone (max_batch=1) — "
                             "the benchmark baseline")
-    serve.add_argument("--compute-workers", type=int, default=1, metavar="N",
-                       help="numpy compute threads (1 keeps per-request "
-                            "energy accounting exact)")
     serve.add_argument("--compute-timeout-s", type=float, default=30.0,
                        metavar="S",
                        help="per-batch forward-pass timeout: a slower batch "
@@ -465,7 +462,6 @@ def _run_serve(args: argparse.Namespace) -> str:
         models=tuple(args.models),
         max_batch=1 if args.no_batching else args.max_batch,
         queue_depth=args.queue_depth,
-        compute_workers=args.compute_workers,
         compute_timeout_s=args.compute_timeout_s,
         breaker_threshold=args.breaker_failures,
         breaker_cooldown_s=args.breaker_cooldown_s,

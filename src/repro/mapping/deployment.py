@@ -237,8 +237,10 @@ def plan_deployment(
     engine = ReSiPEPowerModel(p)
     engine_report = engine.budget()
 
-    # Trace spatial dimensions through the network to count conv MVMs.
+    # Trace (channels, H, W) through the network to count conv MVMs
+    # and to check the flattened width against the next Dense layer.
     spatial = _checked_input_hw(input_hw)
+    channels = flat = None
     layers: List[LayerDeployment] = []
     spare_tiles = 0
     for layer, stage in zip(network.model, network.stages):
@@ -251,6 +253,12 @@ def plan_deployment(
                 spare_tiles += 2 * row_bands * math.ceil(spare_cols / p.cols)
             source = stage.source
             if isinstance(source, Dense):
+                if flat is not None and flat != source.in_features:
+                    raise MappingError(
+                        f"{stage.name}: expects {source.in_features} features, "
+                        f"but Flatten gives {flat} on input_hw {input_hw}"
+                    )
+                flat = None
                 mvms = 1
             else:  # Conv2D
                 if spatial is None:
@@ -261,7 +269,7 @@ def plan_deployment(
                 w = (spatial[1] + 2 * source.pad - source.kernel) // source.stride + 1
                 if h < 1 or w < 1:
                     raise MappingError(f"{stage.name}: no output position on {spatial}")
-                spatial = (h, w)
+                spatial, channels = (h, w), source.out_channels
                 mvms = h * w
             layers.append(
                 LayerDeployment(
@@ -279,7 +287,9 @@ def plan_deployment(
                     raise MappingError(f"{layer.name}: {spatial} not divisible by {k}")
                 spatial = (spatial[0] // k, spatial[1] // k)
         elif isinstance(layer, Flatten):
-            spatial = None
+            if channels is not None:
+                flat = channels * spatial[0] * spatial[1]
+            spatial = channels = None
     if not layers:
         raise MappingError("network has no mapped layers")
 

@@ -50,8 +50,13 @@ unresolved waiter instead of hanging them.
 Energy accounting rides on the executor's existing MVM-launch
 counters: the compute thread snapshots ``total_mvm_launches`` around
 each flush and each request is billed its row-proportional share — no
-second instrumentation path (with ``compute_workers > 1`` flushes may
-interleave and the shares become approximate).
+second instrumentation path (the pool's single thread never interleaves
+two flushes, so the shares are exact).
+
+Metrics: every serving event is one write to the batcher's always-on
+:class:`~repro.serving.resilience.ServingMetrics`, which mirrors it to
+the active telemetry session; the daemon renders both ``/metrics``
+forms from these registries.
 """
 
 from __future__ import annotations
@@ -59,8 +64,7 @@ from __future__ import annotations
 import asyncio
 import collections
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
-from typing import Deque, List, Optional, Tuple, Union
+from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,10 +75,15 @@ from ..errors import (
     ExecutionError,
 )
 from ..telemetry import session as _telemetry
-from ..telemetry.clock import perf, wall
+from ..telemetry.clock import perf
 from ..telemetry.tracer import Span
 from .registry import ModelEntry
-from .resilience import CircuitBreaker, ComputePool, ServiceTimeEstimator
+from .resilience import (
+    CircuitBreaker,
+    ComputePool,
+    ServiceTimeEstimator,
+    ServingMetrics,
+)
 
 __all__ = ["MicroBatcher", "PredictResult"]
 
@@ -125,23 +134,20 @@ class MicroBatcher:
     def __init__(
         self,
         entry: ModelEntry,
-        compute: Union[ComputePool, ThreadPoolExecutor],
+        compute: ComputePool,
         max_batch: int = 32,
         queue_depth: int = 128,
         compute_timeout_s: float = 0.0,
         breaker: Optional[CircuitBreaker] = None,
-        ewma_alpha: float = 0.25,
         chaos=None,
     ) -> None:
         self.entry = entry
-        if not isinstance(compute, ComputePool):
-            compute = ComputePool.adopt(compute)
         self._compute = compute
         self.max_batch = max_batch
         self.queue_depth = queue_depth
         self.compute_timeout_s = compute_timeout_s
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self.estimator = ServiceTimeEstimator(alpha=ewma_alpha)
+        self.estimator = ServiceTimeEstimator()
         self._chaos = chaos
         self._pending: Deque[_Pending] = collections.deque()
         self._inflight: List[_Pending] = []
@@ -153,25 +159,17 @@ class MicroBatcher:
         self._arrival = asyncio.Event()
         self._draining = False
         self._task: Optional["asyncio.Task[None]"] = None
-        #: lifetime counters, cheap enough to keep unconditionally
-        self.requests_total = 0
-        self.rejected_total = 0
-        self.batches_total = 0
-        self.coalesced_total = 0
-        self.shed_deadline_total = 0
-        self.shed_expired_total = 0
-        self.breaker_rejected_total = 0
-        self.compute_failures_total = 0
-        self.compute_timeouts_total = 0
+        #: lifetime event counters and the ``queue_depth`` gauge (set at
+        #: every depth change; its ring is the /metrics depth trend)
+        self.metrics = ServingMetrics(
+            "requests", "rejected", "batches", "coalesced",
+            "shed.deadline", "shed.expired", "breaker.rejected",
+            "compute.failures", "compute.timeouts",
+        )
+        self._depth_changed()
         #: largest admitted relative deadline (the SLO budget clients
         #: actually asked for); 0.0 until a deadline request is admitted
         self.deadline_budget_max_s = 0.0
-        #: fixed-size (wall, queue_depth) ring sampled at every flush —
-        #: kept unconditionally (cheap) so the /metrics trend is
-        #: identical whether telemetry is on or off
-        self._depth_samples: Deque[Tuple[float, int]] = collections.deque(
-            maxlen=64
-        )
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -182,6 +180,9 @@ class MicroBatcher:
     def depth(self) -> int:
         """Requests currently queued (the backpressure measure)."""
         return len(self._pending)
+
+    def _depth_changed(self) -> None:
+        self.metrics.set_gauge("queue_depth", len(self._pending))
 
     def _estimated_wait(self) -> Optional[float]:
         """Predicted seconds until a request enqueued *now* is answered
@@ -207,18 +208,6 @@ class MicroBatcher:
         service = self.estimator.budget() if busy else value
         return batches_ahead * service
 
-    def depth_trend(self) -> dict:
-        """Min/mean/max queue depth over the retained flush samples."""
-        if not self._depth_samples:
-            return {"count": 0, "min": None, "mean": None, "max": None}
-        depths = [depth for _, depth in self._depth_samples]
-        return {
-            "count": len(depths),
-            "min": min(depths),
-            "mean": sum(depths) / len(depths),
-            "max": max(depths),
-        }
-
     async def submit(
         self, x: np.ndarray, deadline_s: Optional[float] = None,
         span: Optional[Span] = None,
@@ -231,22 +220,20 @@ class MicroBatcher:
         time, or if it expires while queued.
         """
         if self._draining:
-            self.rejected_total += 1
+            self.metrics.count("rejected")
             raise BackpressureError(
                 f"model {self.entry.name!r} is draining for shutdown"
             )
         if not self.breaker.admit():
-            self.breaker_rejected_total += 1
+            self.metrics.count("breaker.rejected")
             retry_after = self.breaker.retry_after()
-            _telemetry.count("serve.breaker.rejected")
             raise CircuitOpenError(
                 f"model {self.entry.name!r} circuit breaker is open after "
                 "repeated compute failures; retry after cooldown",
                 retry_after_s=retry_after,
             )
         if len(self._pending) >= self.queue_depth:
-            self.rejected_total += 1
-            _telemetry.count("serve.rejected")
+            self.metrics.count("rejected")
             raise BackpressureError(
                 f"model {self.entry.name!r} queue is full "
                 f"({self.queue_depth} pending requests); retry later"
@@ -254,8 +241,7 @@ class MicroBatcher:
         if deadline_s is not None:
             wait = self._estimated_wait()
             if wait is not None and wait > deadline_s:
-                self.shed_deadline_total += 1
-                _telemetry.count("serve.shed.deadline")
+                self.metrics.count("shed.deadline")
                 retry_after = max(
                     wait - deadline_s, self.estimator.value or 0.0
                 )
@@ -265,8 +251,7 @@ class MicroBatcher:
                     f"{deadline_s * 1e3:.1f} ms deadline; shed at admission",
                     retry_after_s=retry_after,
                 )
-        self.requests_total += 1
-        _telemetry.count("serve.requests")
+        self.metrics.count("requests")
         if deadline_s is not None and deadline_s > self.deadline_budget_max_s:
             self.deadline_budget_max_s = deadline_s
         now = perf()
@@ -278,7 +263,7 @@ class MicroBatcher:
             span=span,
         )
         self._pending.append(item)
-        _telemetry.set_gauge("serve.queue_depth", len(self._pending))
+        self._depth_changed()
         self._arrival.set()
         return await item.future
 
@@ -305,6 +290,7 @@ class MicroBatcher:
                 item.future.set_exception(exc)
                 failed += 1
         self._pending.clear()
+        self._depth_changed()
         if self._task is not None:
             self._task.cancel()
         return failed
@@ -320,8 +306,7 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
     def _shed_expired(self, item: _Pending, now: float) -> None:
-        self.shed_expired_total += 1
-        _telemetry.count("serve.shed.expired")
+        self.metrics.count("shed.expired")
         if item.span is not None:
             item.span.attrs.setdefault("outcome", "shed-expired")
         if not item.future.done():
@@ -363,6 +348,7 @@ class MicroBatcher:
             item = self._pending.popleft()
             if not item.future.done():
                 item.future.set_exception(exc)
+        self._depth_changed()
 
     async def _run(self) -> None:
         while True:
@@ -379,7 +365,7 @@ class MicroBatcher:
                 self._arrival.clear()
                 continue
             batch = self._take_batch()
-            _telemetry.set_gauge("serve.queue_depth", len(self._pending))
+            self._depth_changed()
             if not batch:
                 continue
             await self._flush(batch)
@@ -392,7 +378,6 @@ class MicroBatcher:
                     "while this request was queued",
                     retry_after_s=self.breaker.retry_after(),
                 ))
-                _telemetry.set_gauge("serve.queue_depth", 0)
 
     def _predict_counted(
         self, x: np.ndarray
@@ -438,10 +423,8 @@ class MicroBatcher:
             # The thread may be hung: abandon the whole executor so the
             # next batch gets a healthy pool, and answer every waiter.
             self.breaker.record_failure()
-            self.compute_timeouts_total += 1
-            _telemetry.count("serve.compute.timeouts")
+            self.metrics.count("compute.timeouts")
             self._compute.rebuild()
-            _telemetry.count("serve.compute.rebuilds")
             self._fail_batch(batch, ExecutionError(
                 f"model {self.entry.name!r} forward pass exceeded the "
                 f"{self.compute_timeout_s:g} s compute timeout; the "
@@ -452,16 +435,14 @@ class MicroBatcher:
             return
         except Exception as exc:  # deterministic model failure, not ours
             self.breaker.record_failure()
-            self.compute_failures_total += 1
-            _telemetry.count("serve.compute.failures")
+            self.metrics.count("compute.failures")
             self._fail_batch(batch, exc)
             self._inflight = []
             self._cycle_anchor = None
             return
         end = perf()
         self.breaker.record_success()
-        self.batches_total += 1
-        self._depth_samples.append((wall(), len(self._pending)))
+        self.metrics.count("batches")
         if total_rows:
             # Back-to-back batches sample the full departure interval
             # (previous flush end → this flush end): under load the
@@ -473,8 +454,7 @@ class MicroBatcher:
             self.estimator.observe(end - anchor)
         self._cycle_anchor = end
         if len(batch) > 1:
-            self.coalesced_total += len(batch)
-            _telemetry.count("serve.coalesced_requests", len(batch))
+            self.metrics.count("coalesced", len(batch))
         session = _telemetry.active()
         if session is not None:
             session.observe("serve.batch_size", len(batch))

@@ -38,11 +38,6 @@ class ServingConfig:
         Backpressure bound — pending requests beyond this are rejected
         with :class:`~repro.errors.BackpressureError` (HTTP 429)
         instead of growing the queue without limit.
-    compute_workers:
-        Threads running the numpy forward passes.  The default of 1
-        serialises compute, which keeps the executor's MVM-launch
-        counters exact for per-request energy accounting; raise it only
-        if per-request energy may be approximate.
     drain_timeout_s:
         Grace period for in-flight requests on shutdown.  Requests
         still unanswered when it expires are *failed* (503 /
@@ -58,11 +53,6 @@ class ServingConfig:
         consecutive batch failures the model answers
         :class:`~repro.errors.CircuitOpenError` (503 + ``Retry-After``)
         for ``breaker_cooldown_s``, then lets one probe batch through.
-    ewma_alpha:
-        Smoothing factor of the batch-service-time EWMA behind
-        deadline-aware admission control (larger tracks load shifts
-        faster; see :class:`~repro.serving.resilience.
-        ServiceTimeEstimator`).
     n_samples / seed:
         Training-set size and master seed used to key the model cache
         (must match a previous run to reuse its artifacts).
@@ -79,12 +69,10 @@ class ServingConfig:
     models: Tuple[str, ...] = ("mlp-1",)
     max_batch: int = 32
     queue_depth: int = 128
-    compute_workers: int = 1
     drain_timeout_s: float = 10.0
     compute_timeout_s: float = 30.0
     breaker_threshold: int = 5
     breaker_cooldown_s: float = 1.0
-    ewma_alpha: float = 0.25
     n_samples: int = 600
     seed: int = 0
     ensemble_sigma: float = 0.0
@@ -101,10 +89,6 @@ class ServingConfig:
             raise ConfigurationError(
                 f"queue_depth must be >= 1, got {self.queue_depth!r}"
             )
-        if self.compute_workers < 1:
-            raise ConfigurationError(
-                f"compute_workers must be >= 1, got {self.compute_workers!r}"
-            )
         if self.compute_timeout_s < 0:
             raise ConfigurationError(
                 f"compute_timeout_s must be >= 0 (0 disables), got "
@@ -119,10 +103,6 @@ class ServingConfig:
             raise ConfigurationError(
                 f"breaker_cooldown_s must be >= 0, got "
                 f"{self.breaker_cooldown_s!r}"
-            )
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ConfigurationError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha!r}"
             )
         if self.seed < 0:
             raise ConfigurationError(

@@ -20,6 +20,12 @@ still unanswered, they are *failed* with
 ``serve.drain.abandoned`` — an in-flight request is answered or failed
 by a clean shutdown, never left hanging until its socket timeout.
 
+Metrics: each batcher counts its own events; daemon-wide events
+(compute-pool rebuilds, drain-abandoned requests, chaos connection
+drops) go into the daemon's own
+:class:`~repro.serving.resilience.ServingMetrics`.  Both
+``/metrics`` forms are rendered from these registries alone.
+
 Resilience wiring: the daemon owns one rebuildable
 :class:`~repro.serving.resilience.ComputePool` shared by all batchers,
 gives each model its own
@@ -40,7 +46,7 @@ from ..telemetry import session as _telemetry
 from .batcher import MicroBatcher
 from .config import ServingConfig
 from .registry import ModelRegistry
-from .resilience import CircuitBreaker, ComputePool
+from .resilience import CircuitBreaker, ComputePool, ServingMetrics
 from .server import HTTPFrontend
 
 __all__ = ["ServingDaemon", "BackgroundServer"]
@@ -63,7 +69,7 @@ class ServingDaemon:
         self.chaos = chaos
         self.draining = False
         self.port: Optional[int] = None
-        self.drain_abandoned_total = 0
+        self.metrics = ServingMetrics("compute.rebuilds", "drain.abandoned")
         self._batchers: Dict[str, MicroBatcher] = {}
         self._compute: Optional[ComputePool] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -93,24 +99,16 @@ class ServingDaemon:
         return out
 
     def metrics_snapshot(self) -> Dict[str, Any]:
-        """Lifetime serve.* counters, aggregated over models."""
-        totals = {
-            "requests": 0, "rejected": 0, "batches": 0, "coalesced": 0,
-            "shed_deadline": 0, "shed_expired": 0, "breaker_rejected": 0,
-            "compute_failures": 0, "compute_timeouts": 0,
-        }
+        """Lifetime serve.* counters per model and summed over models,
+        plus the daemon-wide counters."""
+        totals: Dict[str, float] = {}
         per_model = {}
         for name, batcher in self._batchers.items():
-            counters = {
-                "requests": batcher.requests_total,
-                "rejected": batcher.rejected_total,
-                "batches": batcher.batches_total,
-                "coalesced": batcher.coalesced_total,
-                "shed_deadline": batcher.shed_deadline_total,
-                "shed_expired": batcher.shed_expired_total,
-                "breaker_rejected": batcher.breaker_rejected_total,
-                "compute_failures": batcher.compute_failures_total,
-                "compute_timeouts": batcher.compute_timeouts_total,
+            counters = batcher.metrics.counter_values()
+            for key, value in counters.items():
+                totals[key] = totals.get(key, 0) + value
+            per_model[name] = {
+                **counters,
                 "breaker_state": batcher.breaker.state,
                 "breaker_opens": batcher.breaker.opens_total,
                 "queue_depth": batcher.depth,
@@ -121,88 +119,58 @@ class ServingDaemon:
                 "service_budget_ms": (batcher.estimator.budget() or 0.0)
                 * 1e3,
             }
-            per_model[name] = counters
-            for key in totals:
-                totals[key] += counters[key]
         return {
             "totals": totals,
             "models": per_model,
-            "compute_rebuilds": (
-                self._compute.rebuilds if self._compute is not None else 0
-            ),
-            "drain_abandoned": self.drain_abandoned_total,
+            **self.metrics.counter_values(),
             "failed_models": dict(self.registry.failed),
         }
 
     def metrics_openmetrics(self) -> str:
-        """OpenMetrics text rendering of the same lifetime counters the
-        JSON snapshot reports, labelled per model.
+        """OpenMetrics text rendering of the same registries the JSON
+        snapshot reads, the batchers' labelled per model, plus gauges
+        derived at scrape time.
 
-        Built from the batchers' unconditional counters only — never
-        the telemetry session registry — so the exposition, like the
-        JSON form, is byte-identical whether telemetry is on or off.
+        Never reads the telemetry session registry, so the exposition,
+        like the JSON form, is byte-identical whether telemetry is on
+        or off.
         """
-        from ..telemetry.openmetrics import OpenMetricsBuilder
-        from ..units import MILLI
+        from ..telemetry.openmetrics import OpenMetricsBuilder, render_registry
 
-        snap = self.metrics_snapshot()
         builder = OpenMetricsBuilder()
-        counter_keys = (
-            "requests", "rejected", "batches", "coalesced",
-            "shed_deadline", "shed_expired", "breaker_rejected",
-            "compute_failures", "compute_timeouts", "breaker_opens",
-        )
-        for name in sorted(snap["models"]):
-            counters = snap["models"][name]
+        for name in sorted(self._batchers):
+            batcher = self._batchers[name]
             labels = {"model": name}
-            for key in counter_keys:
-                builder.counter(
-                    f"repro_serve_{key}", counters[key], labels=labels
-                )
-            builder.gauge(
-                "repro_serve_queue_depth", counters["queue_depth"],
-                labels=labels,
-            )
+            render_registry(batcher.metrics, "repro_serve_", labels=labels,
+                            builder=builder)
+            builder.counter("repro_serve_breaker_opens",
+                            batcher.breaker.opens_total, labels=labels)
             builder.gauge(
                 "repro_serve_breaker_open",
-                1.0 if counters["breaker_state"] == "open" else 0.0,
+                1.0 if batcher.breaker.state == "open" else 0.0,
                 labels=labels,
             )
             builder.gauge(
                 "repro_serve_service_ewma_seconds",
-                counters["service_ewma_ms"] * MILLI, labels=labels,
+                batcher.estimator.value or 0.0, labels=labels,
             )
             builder.gauge(
                 "repro_serve_service_budget_seconds",
-                counters["service_budget_ms"] * MILLI, labels=labels,
+                batcher.estimator.budget() or 0.0, labels=labels,
             )
-            trend = self._batchers[name].depth_trend()
-            if trend["count"]:
-                for stat in ("min", "mean", "max"):
-                    builder.gauge(
-                        "repro_serve_queue_depth_trend", trend[stat],
-                        labels={"model": name, "stat": stat},
-                    )
-        builder.counter(
-            "repro_serve_compute_rebuilds", snap["compute_rebuilds"]
-        )
-        builder.counter(
-            "repro_serve_drain_abandoned", snap["drain_abandoned"]
-        )
-        for name in sorted(snap["failed_models"]):
+        for name, reason in sorted(self.registry.failed.items()):
             builder.gauge(
                 "repro_serve_model_failed", 1.0,
-                labels={"model": name,
-                        "reason": str(snap["failed_models"][name])},
+                labels={"model": name, "reason": str(reason)},
             )
-        return builder.render()
+        return render_registry(self.metrics, "repro_serve_", builder=builder)
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
         if self._server is not None:
             raise ExecutionError("daemon already started")
         config = self.config
-        self._compute = ComputePool(workers=config.compute_workers)
+        self._compute = ComputePool(self.metrics)
         for name in self.registry.names():
             batcher = MicroBatcher(
                 self.registry.get(name),
@@ -215,7 +183,6 @@ class ServingDaemon:
                     cooldown_s=config.breaker_cooldown_s,
                     name=name,
                 ),
-                ewma_alpha=config.ewma_alpha,
                 chaos=self.chaos,
             )
             batcher.start()
@@ -255,9 +222,8 @@ class ServingDaemon:
                 *(b.reap() for b in self._batchers.values()),
                 return_exceptions=True,
             )
-            self.drain_abandoned_total += abandoned
             if abandoned:
-                _telemetry.count("serve.drain.abandoned", abandoned)
+                self.metrics.count("drain.abandoned", abandoned)
         # Only now wait for the listener: every batcher future is
         # resolved or failed, so connection handlers can flush their
         # responses and detach.  (On 3.12+ wait_closed blocks until all

@@ -1,6 +1,12 @@
 """Resilience primitives shared by the serving stack.
 
-Four small, independently-testable pieces:
+Five small, independently-testable pieces:
+
+:class:`ServingMetrics`
+    The always-on event counters of one batcher (or of the daemon).
+    Every write is also mirrored to the active telemetry session, so a
+    serving event is counted once and seen by both ``/metrics`` and the
+    run manifest.
 
 :class:`ServiceTimeEstimator`
     An EWMA of recent batch service times.  The batcher feeds it every
@@ -18,7 +24,7 @@ Four small, independently-testable pieces:
     the breaker, failure re-opens it for another cooldown.
 
 :class:`ComputePool`
-    A rebuildable wrapper around the serving daemon's
+    A rebuildable wrapper around the serving daemon's one-thread
     :class:`~concurrent.futures.ThreadPoolExecutor`.  When a forward
     pass exceeds the compute timeout the pool is *rebuilt*: the old
     executor (with its possibly-hung thread) is abandoned with
@@ -41,22 +47,63 @@ from __future__ import annotations
 
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..telemetry import session as _telemetry
 from ..telemetry.clock import monotonic as _monotonic
 from ..telemetry.logging import get_logger
+from ..telemetry.metrics import MetricsRegistry
+from ..telemetry.openmetrics import sanitize_metric_name
 
 _logger = get_logger("repro.serving.resilience")
 
 __all__ = [
+    "ServingMetrics",
     "ServiceTimeEstimator",
     "CircuitBreaker",
     "ComputePool",
     "RetryPolicy",
 ]
+
+
+class ServingMetrics(MetricsRegistry):
+    """A serving registry whose every write is mirrored to the active
+    telemetry session.
+
+    One naming rule covers the three views of a metric ``N``: the
+    session mirror is ``serve.N``, the ``/metrics`` JSON key is
+    ``sanitize_metric_name(N)``, and the OpenMetrics family is
+    ``repro_serve_`` plus that key (``shed.deadline`` →
+    ``serve.shed.deadline``, ``shed_deadline``,
+    ``repro_serve_shed_deadline_total``).  Both ``/metrics`` forms read
+    this registry, never the session, so they are identical whether
+    telemetry is on or off.
+
+    ``counters`` are registered at zero, so every one of them is listed
+    from the first scrape.
+    """
+
+    def __init__(self, *counters: str) -> None:
+        super().__init__()
+        for name in counters:
+            self.counter(name)
+
+    def count(self, name: str, n: float = 1) -> None:
+        super().count(name, n)
+        _telemetry.count("serve." + name, n)
+
+    def set_gauge(self, name: str, value: float) -> None:
+        super().set_gauge(name, value)
+        _telemetry.set_gauge("serve." + name, value)
+
+    def counter_values(self) -> Dict[str, float]:
+        """Counter values by their ``/metrics`` JSON key, in
+        registration order."""
+        return {sanitize_metric_name(name): counter.value
+                for name, counter in self._counters.items()}
 
 
 class ServiceTimeEstimator:
@@ -207,35 +254,26 @@ class CircuitBreaker:
 
 
 class ComputePool:
-    """A rebuildable thread-pool handle shared by a daemon's batchers.
+    """A rebuildable one-thread pool shared by a daemon's batchers.
 
+    One thread serialises compute, which keeps the executor's
+    MVM-launch counters exact for per-request energy accounting.
     ``rebuild()`` abandons the current executor without waiting — a
     hung forward pass keeps its thread, but the daemon gets a fresh
-    pool and keeps serving.  Call it only from the event-loop thread
-    (the batchers' coalescers), which serialises rebuilds.
+    pool and keeps serving — and counts ``compute.rebuilds`` in
+    ``metrics`` (the daemon passes its own registry).  Call it only
+    from the event-loop thread (the batchers' coalescers), which
+    serialises rebuilds.
     """
 
-    def __init__(self, workers: int = 1) -> None:
-        if workers < 1:
-            raise ConfigurationError(
-                f"compute pool needs >= 1 worker, got {workers!r}"
-            )
-        self._workers = workers
-        self.rebuilds = 0
+    def __init__(self, metrics: Optional[ServingMetrics] = None) -> None:
+        self.metrics = metrics if metrics is not None else ServingMetrics()
         self._executor = self._make()
 
-    @classmethod
-    def adopt(cls, executor: ThreadPoolExecutor) -> "ComputePool":
-        """Wrap an externally-created executor (tests, benchmarks)."""
-        pool = cls.__new__(cls)
-        pool._workers = getattr(executor, "_max_workers", 1)
-        pool.rebuilds = 0
-        pool._executor = executor
-        return pool
-
-    def _make(self) -> ThreadPoolExecutor:
+    @staticmethod
+    def _make() -> ThreadPoolExecutor:
         return ThreadPoolExecutor(
-            max_workers=self._workers, thread_name_prefix="repro-serve"
+            max_workers=1, thread_name_prefix="repro-serve"
         )
 
     @property
@@ -245,7 +283,7 @@ class ComputePool:
     def rebuild(self) -> None:
         """Abandon the current executor (hung threads and all)."""
         old, self._executor = self._executor, self._make()
-        self.rebuilds += 1
+        self.metrics.count("compute.rebuilds")
         old.shutdown(wait=False, cancel_futures=True)
 
     def shutdown(self, wait: bool = True) -> None:

@@ -111,7 +111,7 @@ class HTTPFrontend:
                 # Simulated network fault: kill the socket before any
                 # response bytes, so clients see a dropped connection
                 # (BadStatusLine / ConnectionReset), never a hang.
-                _telemetry.count("serve.chaos.dropped_connections")
+                self.daemon.metrics.count("chaos.dropped_connections")
                 writer.close()
                 try:
                     await writer.wait_closed()

@@ -81,10 +81,6 @@ class Gauge:
         self.value = float(value)
         self._ring.append((clock.wall(), self.value))
 
-    def samples(self) -> List[Tuple[float, float]]:
-        """The retained ``(wall, value)`` ring, oldest first."""
-        return list(self._ring)
-
     def trend(self) -> dict:
         """Min/mean/max summary over the retained ring."""
         if not self._ring:

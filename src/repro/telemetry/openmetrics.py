@@ -1,7 +1,7 @@
 """OpenMetrics text exposition and a minimal validating parser.
 
 Renders :class:`~repro.telemetry.metrics.MetricsRegistry` instruments
-(and the serving daemon's bespoke counters) in the OpenMetrics 1.0
+(the serving daemon's ``/metrics`` among them) in the OpenMetrics 1.0
 text format — ``# TYPE``/``# HELP`` metadata, escaped label values,
 histograms as cumulative ``_bucket{le=...}`` series plus ``_sum`` /
 ``_count``, and the mandatory ``# EOF`` terminator — so any Prometheus
@@ -151,25 +151,31 @@ class OpenMetricsBuilder:
         return "\n".join(lines) + "\n"
 
 
-def render_registry(registry, prefix: str = "repro_") -> str:
+def render_registry(registry, prefix: str = "repro_",
+                    labels: Optional[Dict[str, str]] = None,
+                    builder: Optional[OpenMetricsBuilder] = None) -> str:
     """Render a :class:`MetricsRegistry` as OpenMetrics text.
 
     Counters become ``<prefix><name>_total``; gauges additionally emit
     a ``_trend`` gauge family (min/mean/max over the retained ring)
     when samples exist; histograms expose their exact fixed buckets.
+    ``labels`` go on every sample.  Pass a shared ``builder`` to render
+    several registries (say one per model) into one exposition: the
+    builder groups each family under one ``# TYPE`` block, and the
+    return value is its text so far.
     """
-    builder = OpenMetricsBuilder()
+    builder = builder if builder is not None else OpenMetricsBuilder()
     for counter in registry.counters():
-        builder.counter(prefix + counter.name, counter.value)
+        builder.counter(prefix + counter.name, counter.value, labels=labels)
     for gauge in registry.gauges():
         if gauge.value is not None:
-            builder.gauge(prefix + gauge.name, gauge.value)
+            builder.gauge(prefix + gauge.name, gauge.value, labels=labels)
         trend = gauge.trend()
         if trend["count"]:
             for stat in ("min", "mean", "max"):
                 builder.gauge(
                     prefix + gauge.name + "_trend", trend[stat],
-                    labels={"stat": stat},
+                    labels={**(labels or {}), "stat": stat},
                 )
     for histogram in registry.histograms():
         builder.histogram(
@@ -177,6 +183,7 @@ def render_registry(registry, prefix: str = "repro_") -> str:
             histogram.cumulative_buckets(),
             total=histogram.total,
             count=histogram.count,
+            labels=labels,
         )
     return builder.render()
 

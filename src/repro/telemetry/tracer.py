@@ -23,7 +23,6 @@ import dataclasses
 import json
 from typing import Any, Dict, Iterator, List, Optional
 
-from ..units import MILLI
 from . import clock, context
 
 __all__ = ["Span", "Tracer"]
@@ -200,22 +199,3 @@ class Tracer:
         lines = [json.dumps(record, sort_keys=True)
                  for record in self.to_records()]
         return ("\n".join(lines) + "\n").encode() if lines else b""
-
-    def render_tree(self) -> str:
-        """Indented text rendering of the span tree."""
-        if not self.spans:
-            return "(no spans recorded)"
-        lines = []
-        for span in self.spans:
-            duration = ("...open" if span.duration_s is None
-                        else f"{span.duration_s / MILLI:.1f} ms")
-            cpu = (f" cpu {span.cpu_s / MILLI:.1f} ms"
-                   if span.cpu_s is not None else "")
-            attrs = "".join(
-                f" {key}={value}" for key, value in sorted(span.attrs.items())
-            )
-            flag = "" if span.status == "ok" else f" [{span.status}]"
-            lines.append(
-                f"{'  ' * span.depth}{span.name}  {duration}{cpu}{attrs}{flag}"
-            )
-        return "\n".join(lines)

@@ -174,9 +174,9 @@ class TestAsync001SeededBugs:
         # _run -> self._take_batch() -> self._shed_expired(...)
         findings = seeded(
             "src/repro/serving/batcher.py", "ASYNC001", IMPORT_TIME,
-            ("        self.shed_expired_total += 1\n",
-             "        time.sleep(0.01)\n"
-             "        self.shed_expired_total += 1\n"),
+            ('        self.metrics.count("shed.expired")\n',
+             '        time.sleep(0.01)\n'
+             '        self.metrics.count("shed.expired")\n'),
         )
         assert len(findings) == 1
         assert "MicroBatcher._shed_expired" in findings[0].message

@@ -71,7 +71,7 @@ class TestComputeExceptionScenario:
         assert metrics["models"]["toy"]["breaker_opens"] == 1
         assert plan.fired_total() == 2
         server.stop()
-        assert server.daemon.drain_abandoned_total == 0, (
+        assert server.daemon.metrics.counter("drain.abandoned").value == 0, (
             "no request may be left unresolved"
         )
 
@@ -99,7 +99,7 @@ class TestLatencySpikeScenario:
         assert metrics["compute_rebuilds"] == 1
         assert plan.fired_total() == 1
         server.stop()
-        assert server.daemon.drain_abandoned_total == 0
+        assert server.daemon.metrics.counter("drain.abandoned").value == 0
 
 
 class TestRegistryCorruptionScenario:
@@ -155,5 +155,9 @@ class TestConnectionDropScenario:
         assert doc["attempts"] == 3, "both drops retried, third landed"
         assert plan.fired_total() == 2
         _assert_recovered(server, entry, rows)
+        _, metrics = client.request(
+            server.host, server.port, "GET", "/metrics"
+        )
+        assert metrics["chaos_dropped_connections"] == 2
         server.stop()
-        assert server.daemon.drain_abandoned_total == 0
+        assert server.daemon.metrics.counter("drain.abandoned").value == 0

@@ -149,11 +149,18 @@ class TestInputValidation:
     @pytest.mark.parametrize("input_hw", [
         (2, 2), (0, 0), (-5, -5),  # conv leaves no output position
         (7, 7),  # 3x3 conv output is not divisible by the 2x2 pool
+        (16, 16),  # Flatten gives 2 x 6 x 6 = 72 features, Dense takes 32
         (12, 12.0), (True, 12), (12,), 12,  # not two positive ints
-    ], ids=["2x2", "0x0", "negative", "7x7", "float", "bool", "one-side", "scalar"])
+    ], ids=["2x2", "0x0", "negative", "7x7", "flatten-width", "float", "bool",
+            "one-side", "scalar"])
     def test_rejects_sizes_the_model_cannot_run(self, unpadded_network, input_hw):
         with pytest.raises(MappingError):
             plan_deployment(unpadded_network, input_hw=input_hw)
+
+    def test_flatten_width_error_names_the_dense_layer(self, unpadded_network):
+        with pytest.raises(MappingError, match="dense32x4: expects 32 features, "
+                           "but Flatten gives 72"):
+            plan_deployment(unpadded_network, input_hw=(16, 16))
 
 
 class TestAgainstReference:

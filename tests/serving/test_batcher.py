@@ -1,7 +1,6 @@
 """MicroBatcher: coalescing identity, backpressure, drain semantics."""
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +13,12 @@ from repro.errors import (
     ExecutionError,
 )
 from repro.faults import VariationInjector
-from repro.serving import CircuitBreaker, MicroBatcher, ServingConfig
+from repro.serving import (
+    CircuitBreaker,
+    ComputePool,
+    MicroBatcher,
+    ServingConfig,
+)
 from repro.serving.batcher import _Pending
 
 from .conftest import serial_labels
@@ -36,10 +40,15 @@ def _bounded(awaitable, timeout=WAIT_S):
 
 
 def _batcher(entry, **kwargs):
-    compute = ThreadPoolExecutor(max_workers=1)
+    compute = ComputePool()
     defaults = dict(max_batch=8, queue_depth=32)
     defaults.update(kwargs)
     return MicroBatcher(entry, compute, **defaults), compute
+
+
+def _count(owner, name):
+    """A counter of a batcher's (or compute pool's) metrics registry."""
+    return owner.metrics.counter(name).value
 
 
 class TestCoalescingIdentity:
@@ -210,7 +219,7 @@ class TestBackpressure:
         served = [s for s in settled if not isinstance(s, Exception)]
         assert rejected, "queue bound never pushed back"
         assert served, "backpressure rejected everything"
-        assert batcher.rejected_total == len(rejected)
+        assert _count(batcher, "rejected") == len(rejected)
         assert all("queue is full" in str(r) for r in rejected)
 
     def test_draining_rejects_new_submits(self, entry, rows):
@@ -262,8 +271,8 @@ class TestDrain:
             return batcher
 
         batcher = _run(body())
-        assert batcher.batches_total == 1  # the end-of-stream barrier
-        assert batcher.requests_total == 0
+        assert _count(batcher, "batches") == 1  # the end-of-stream barrier
+        assert _count(batcher, "requests") == 0
 
 
 class TestDeadlineAdmission:
@@ -282,7 +291,7 @@ class TestDeadlineAdmission:
 
         result, batcher = _run(body())
         assert int(result.predictions[0]) == serial_labels(entry, rows[:1])[0]
-        assert batcher.shed_deadline_total == 0
+        assert _count(batcher, "shed.deadline") == 0
         assert batcher.estimator.samples == 1
 
     def test_enqueue_shed_when_ewma_predicts_miss(self, entry, rows):
@@ -307,9 +316,9 @@ class TestDeadlineAdmission:
         )
         assert "shed at admission" in str(exc)
         assert exc.retry_after_s == pytest.approx(0.25)
-        assert batcher.shed_deadline_total == 1
-        assert batcher.rejected_total == 0
-        assert batcher.requests_total == 0, "shed requests never enqueue"
+        assert _count(batcher, "shed.deadline") == 1
+        assert _count(batcher, "rejected") == 0
+        assert _count(batcher, "requests") == 0, "shed requests never enqueue"
 
     def test_estimated_wait_is_batches_ahead_times_service(self, entry, rows):
         """No fixed term rides on the prediction: an empty queue is one
@@ -366,7 +375,7 @@ class TestDeadlineAdmission:
         assert isinstance(late, DeadlineExceededError)
         assert "shed at dequeue" in str(late)
         assert late.retry_after_s > 0
-        assert batcher.shed_expired_total == 1
+        assert _count(batcher, "shed.expired") == 1
 
 
 class TestComputeSupervision:
@@ -386,13 +395,12 @@ class TestComputeSupervision:
                 result = await _bounded(batcher.submit(rows[1]))
             finally:
                 await _bounded(batcher.drain())
-                batcher._compute.shutdown()
                 compute.shutdown()
             return batcher, result
 
         batcher, result = _run(body())
-        assert batcher.compute_timeouts_total == 1
-        assert batcher._compute.rebuilds == 1
+        assert _count(batcher, "compute.timeouts") == 1
+        assert _count(batcher._compute, "compute.rebuilds") == 1
         assert int(result.predictions[0]) == serial_labels(entry, rows[1:2])[0]
 
     def test_breaker_opens_then_probe_recloses(
@@ -431,8 +439,8 @@ class TestComputeSupervision:
         assert breaker.state == CircuitBreaker.CLOSED
         assert breaker.opens_total == 1
         assert breaker.probes_total == 1
-        assert batcher.compute_failures_total == 2
-        assert batcher.breaker_rejected_total == 1
+        assert _count(batcher, "compute.failures") == 2
+        assert _count(batcher, "breaker.rejected") == 1
         assert int(result.predictions[0]) == serial_labels(entry, rows[3:4])[0]
 
     def test_dropped_waiter_fails_fast(

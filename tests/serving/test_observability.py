@@ -1,15 +1,18 @@
 """Observability end-to-end: /metrics content negotiation, stitched
 request traces, and trace-id propagation into load reports."""
 
+import asyncio
 import http.client
 
 import pytest
 
+from repro.errors import BackpressureError
 from repro.serving import (
     BackgroundServer,
     ModelRegistry,
     RetryPolicy,
     ServingConfig,
+    ServingDaemon,
 )
 from repro.serving import client
 from repro.telemetry import session as telemetry
@@ -20,6 +23,11 @@ def _config(**kwargs):
     defaults = dict(port=0, models=("toy",))
     defaults.update(kwargs)
     return ServingConfig(**defaults)
+
+
+#: per-model JSON keys that are scrape-time gauges, not counters
+JSON_GAUGES = {"breaker_state", "queue_depth", "service_ewma_ms",
+               "service_budget_ms"}
 
 
 def fetch_metrics_text(host, port):
@@ -69,7 +77,9 @@ class TestMetricsNegotiation:
 
     def test_text_and_json_counters_agree(self, registry, rows):
         """Two renderings of the same counters: every per-model counter
-        in the JSON snapshot appears with the same value in the text."""
+        in the JSON snapshot appears as ``repro_serve_<key>_total``
+        with the same value in the text, and the text has no per-model
+        counter the JSON lacks."""
         with BackgroundServer(registry, _config()) as server:
             for row in rows[:3]:
                 client.predict(server.host, server.port, "toy", row)
@@ -81,15 +91,14 @@ class TestMetricsNegotiation:
             (name, labels.get("model")): value
             for name, labels, value in parse_openmetrics(text)["samples"]
         }
-        toy = doc["models"]["toy"]
-        for json_key, family in (
-            ("requests", "repro_serve_requests_total"),
-            ("batches", "repro_serve_batches_total"),
-            ("coalesced", "repro_serve_coalesced_total"),
-            ("rejected", "repro_serve_rejected_total"),
-            ("shed_deadline", "repro_serve_shed_deadline_total"),
-        ):
-            assert by_sample[(family, "toy")] == toy[json_key]
+        toy = {key: value for key, value in doc["models"]["toy"].items()
+               if key not in JSON_GAUGES}
+        assert toy["requests"] == 3
+        for key, value in toy.items():
+            assert by_sample[(f"repro_serve_{key}_total", "toy")] == value
+        text_counters = {name for name, model in by_sample
+                         if model == "toy" and name.endswith("_total")}
+        assert text_counters == {f"repro_serve_{key}_total" for key in toy}
 
     def test_exposition_identical_with_telemetry_on(self, registry, rows):
         """Enabling a telemetry session changes neither /metrics form:
@@ -108,6 +117,28 @@ class TestMetricsNegotiation:
                 )
         assert text_on == text_off
         assert json_on == json_off
+
+    def test_drain_refusal_counted_in_json_and_session(self, registry, rows):
+        """A submit refused while draining is one event, seen by both
+        the JSON ``rejected`` count and the session's ``serve.rejected``
+        counter."""
+
+        async def body():
+            daemon = ServingDaemon(registry, _config())
+            await daemon.start()
+            try:
+                await daemon.batcher_for("toy").drain()
+                with pytest.raises(BackpressureError, match="draining"):
+                    await daemon.batcher_for("toy").submit(rows[0])
+                return daemon.metrics_snapshot()
+            finally:
+                await daemon.shutdown()
+
+        with telemetry.capture() as session:
+            doc = asyncio.run(asyncio.wait_for(body(), 30.0))
+        assert doc["models"]["toy"]["rejected"] == 1
+        assert doc["totals"]["rejected"] == 1
+        assert session.registry.counter("serve.rejected").value == 1
 
 
 class TestStitchedTrace:

@@ -10,6 +10,8 @@ from repro.serving import (
     RetryPolicy,
     ServiceTimeEstimator,
 )
+from repro.serving.resilience import ServingMetrics
+from repro.telemetry import session as telemetry
 
 
 class FakeClock:
@@ -178,31 +180,34 @@ class TestRetryPolicy:
             RetryPolicy(seed=-1)
 
 
+class TestServingMetrics:
+    def test_declared_counters_start_at_zero(self):
+        metrics = ServingMetrics("requests", "shed.deadline")
+        assert metrics.counter_values() == {"requests": 0,
+                                            "shed_deadline": 0}
+
+    def test_each_write_is_mirrored_to_the_session(self):
+        metrics = ServingMetrics()
+        with telemetry.capture() as session:
+            metrics.count("shed.deadline", 2)
+            metrics.set_gauge("queue_depth", 3)
+        metrics.count("shed.deadline")  # no session: registry only
+        assert metrics.counter_values() == {"shed_deadline": 3}
+        snap = session.registry.snapshot()
+        assert snap["counters"] == {"serve.shed.deadline": 2}
+        assert snap["gauges"] == {"serve.queue_depth": 3.0}
+
+
 class TestComputePool:
     def test_rebuild_replaces_executor(self):
-        pool = ComputePool(workers=1)
+        pool = ComputePool()
         first = pool.executor
         assert first.submit(lambda: 7).result() == 7
         pool.rebuild()
         assert pool.executor is not first
-        assert pool.rebuilds == 1
+        assert pool.metrics.counter("compute.rebuilds").value == 1
         assert pool.executor.submit(lambda: 8).result() == 8
         pool.shutdown()
-
-    def test_adopt_wraps_external_executor(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        executor = ThreadPoolExecutor(max_workers=2)
-        pool = ComputePool.adopt(executor)
-        assert pool.executor is executor
-        pool.rebuild()
-        assert pool.executor is not executor
-        assert getattr(pool.executor, "_max_workers") == 2
-        pool.shutdown()
-
-    def test_worker_validation(self):
-        with pytest.raises(ConfigurationError):
-            ComputePool(workers=0)
 
     def test_rng_helper_is_seeded(self):
         policy = RetryPolicy(seed=5)

@@ -349,7 +349,7 @@ class TestDrainAbandon:
         assert abandoned, "drain timeout never abandoned a request"
         assert any("abandoned at shutdown" in doc["error"]
                    for doc in abandoned)
-        assert server.daemon.drain_abandoned_total >= 1
+        assert server.daemon.metrics.counter("drain.abandoned").value >= 1
         snap = session.registry.snapshot()
         assert snap["counters"]["serve.drain.abandoned"] >= 1
 
@@ -377,7 +377,7 @@ class TestDrainAbandon:
             thread.join(timeout=10.0)
         server.stop()
         assert results == [200] * 4
-        assert server.daemon.drain_abandoned_total == 0
+        assert server.daemon.metrics.counter("drain.abandoned").value == 0
 
 
 class TestBackgroundServerErrors:

@@ -111,6 +111,25 @@ class TestRegistryRendering:
         assert stats["max"] == pytest.approx(4.0)
         assert 1.0 < stats["mean"] < 4.0
 
+    def test_labelled_registries_share_one_builder(self):
+        """Per-model registries rendered into one builder: one TYPE
+        block per family, every sample (trend included) labelled."""
+        builder = OpenMetricsBuilder()
+        for model, depth in (("a", 1), ("b", 3)):
+            registry = MetricsRegistry(seed=0)
+            registry.count("requests", depth)
+            registry.set_gauge("queue_depth", depth)
+            render_registry(registry, "repro_serve_",
+                            labels={"model": model}, builder=builder)
+        text = builder.render()
+        assert text.count("# TYPE repro_serve_requests counter") == 1
+        samples = parse_openmetrics(text)["samples"]
+        by_model = {(name, labels["model"], labels.get("stat")): value
+                    for name, labels, value in samples}
+        assert by_model[("repro_serve_requests_total", "b", None)] == 3
+        assert by_model[("repro_serve_queue_depth", "a", None)] == 1
+        assert by_model[("repro_serve_queue_depth_trend", "b", "max")] == 3
+
     def test_content_type_is_openmetrics(self):
         assert CONTENT_TYPE.startswith("application/openmetrics-text")
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.telemetry import Tracer
+from repro.telemetry.report import _render_span_tree
 
 
 class TestNesting:
@@ -93,14 +94,15 @@ class TestSerialisation:
 
     def test_empty_tracer_serialises_empty(self):
         assert Tracer().to_jsonl() == b""
-        assert Tracer().render_tree() == "(no spans recorded)"
+        assert _render_span_tree(Tracer().to_records()) == \
+            "(no spans recorded)"
 
     def test_render_tree_indents_by_depth(self):
         tracer = Tracer()
         with tracer.span("outer"):
             with tracer.span("inner", k=1):
                 pass
-        lines = tracer.render_tree().splitlines()
+        lines = _render_span_tree(tracer.to_records()).splitlines()
         assert lines[0].startswith("outer")
         assert lines[1].startswith("  inner")
         assert "k=1" in lines[1]
