@@ -18,8 +18,8 @@ Two phases are reported separately because they scale differently:
 * ``evaluate`` — the datapath inner loop (accuracy of T pre-drawn
   realizations), where trial stacking shines;
 * ``sweep`` — clone drawing + evaluation, i.e. the full per-sigma
-  column including the per-trial RNG work that must stay serial for
-  bit-reproducibility.
+  column as Fig. 7's campaign trial groups, including the per-trial
+  RNG work that must stay serial for bit-reproducibility.
 
 Run directly (CI smoke job)::
 
@@ -62,29 +62,31 @@ def run_benchmark(network="mlp-1", sigma=0.10, trials=16, n_samples=600,
 
     from repro.experiments.fig7_accuracy import (
         Fig7Config,
-        _prepare_network,
-        _sigma_column,
+        _campaign_spec,
         run_fig7,
     )
-    from repro.experiments.networks import get_benchmark_networks
     from repro.faults import VariationInjector
-    from repro.runtime import trial_rng
+    from repro.faults.campaign import (
+        _prepare_chip,
+        _run_trial_group,
+        _trial_groups,
+    )
+    from repro.runtime import CampaignCell, trial_rng
 
     config = Fig7Config(
         networks=(network,), sigmas=(sigma,), trials=trials,
         n_samples=n_samples, eval_samples=eval_samples, seed=seed,
     )
-    net = get_benchmark_networks(
-        keys=[network], n_samples=n_samples, seed=seed
-    )[0]
-    executor, x_eval, y_eval = _prepare_network(net, config)
+    spec = _campaign_spec(config, network)
+    chip = _prepare_chip(CampaignCell("prepare", payload=spec, local=True))
+    executor, x_eval, y_eval = chip.executor, chip.x_eval, chip.y_eval
 
     # Phase 1 — evaluate: accuracy of T pre-drawn realizations.  The
     # same clones feed both paths, so this isolates the trial stacking.
     clones = [
         executor.faulted(
             VariationInjector(sigma),
-            trial_rng(seed, f"{net.spec.key}|{sigma:.4f}|{t}"),
+            trial_rng(seed, f"{network}|{sigma:.4f}|{t}"),
         )
         for t in range(trials)
     ]
@@ -96,9 +98,11 @@ def run_benchmark(network="mlp-1", sigma=0.10, trials=16, n_samples=600,
         lambda: executor.accuracy_trials(x_eval, y_eval, networks), repeats
     )
 
-    # Phase 2 — sweep: clone drawing + evaluation (one sigma column).
+    # Phase 2 — sweep: clone drawing + evaluation (one sigma column),
+    # as the trial groups run_fig7 schedules.
     def sweep(batch):
-        _sigma_column(net, executor, config, sigma, x_eval, y_eval, batch)
+        for group in _trial_groups(spec.points(), batch):
+            _run_trial_group(group, chip)
 
     serial_sweep = _median_time(lambda: sweep(1), repeats)
     stacked_sweep = _median_time(lambda: sweep(trials), repeats)

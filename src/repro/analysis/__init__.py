@@ -3,7 +3,6 @@
 * :mod:`repro.analysis.fitting` — polynomial/linear fits for the Fig. 5
   characterisation curves.
 * :mod:`repro.analysis.metrics` — error and accuracy metrics.
-* :mod:`repro.analysis.sweep` — generic parameter-sweep harness.
 * :mod:`repro.analysis.tables` — ASCII table rendering for benchmark
   output.
 """
@@ -15,7 +14,6 @@ from .metrics import (
     max_relative_error,
     rmse,
 )
-from .sweep import SweepResult, sweep
 from .tables import render_table
 
 __all__ = [
@@ -27,7 +25,5 @@ __all__ = [
     "mean_relative_error",
     "max_relative_error",
     "rmse",
-    "SweepResult",
-    "sweep",
     "render_table",
 ]

@@ -87,10 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig7.add_argument("--eval-samples", type=int, default=200)
     fig7.add_argument("--seed", type=int, default=0,
                       help="master seed for training and Monte-Carlo draws")
-    fig7.add_argument("--stuck-on", type=float, default=0.0,
-                      help="stuck-at-LRS cell fraction layered on each σ")
-    fig7.add_argument("--stuck-off", type=float, default=0.0,
-                      help="stuck-at-HRS cell fraction layered on each σ")
     fig7.add_argument("--workers", type=int, default=1, metavar="N",
                       help="worker processes (results byte-identical at "
                            "any count)")
@@ -324,8 +320,6 @@ def _run_fig7(args: argparse.Namespace) -> str:
             n_samples=300,
             eval_samples=50,
             seed=args.seed,
-            stuck_on=args.stuck_on,
-            stuck_off=args.stuck_off,
         )
     else:
         config = Fig7Config(
@@ -335,8 +329,6 @@ def _run_fig7(args: argparse.Namespace) -> str:
             n_samples=args.samples,
             eval_samples=args.eval_samples,
             seed=args.seed,
-            stuck_on=args.stuck_on,
-            stuck_off=args.stuck_off,
         )
     return render_fig7(run_fig7(config, workers=args.workers,
                                 trial_batch=args.trial_batch))

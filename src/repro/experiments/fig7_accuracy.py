@@ -14,19 +14,22 @@ The paper's protocol, reproduced end to end:
 from __future__ import annotations
 
 import dataclasses
-import functools
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.tables import render_table
-from ..config import CircuitParameters
 from ..core.mvm import MVMMode
 from ..errors import ConfigurationError
-from ..mapping import PIMExecutor, ReSiPEBackend, compile_network
-from ..runtime import CampaignCell, CampaignScheduler, trial_rng
+from ..faults.campaign import (
+    CampaignResult,
+    CampaignSpec,
+    Point,
+    run_trial_groups,
+)
+from ..runtime import trial_rng
 from ..telemetry import session as _telemetry
-from .networks import NETWORK_SPECS, TrainedNetwork, get_benchmark_networks
+from .networks import NETWORK_SPECS
 
 __all__ = ["Fig7Config", "Fig7Result", "run_fig7", "render_fig7"]
 
@@ -51,11 +54,6 @@ class Fig7Config:
         Circuit fidelity (EXACT carries the non-linearity).
     seed:
         Master seed.
-    stuck_on / stuck_off:
-        Stuck-at fault rates (fraction of cells pinned to LRS/HRS)
-        layered on top of the variation at every σ — extends the
-        paper's study to hard defects.  0 (default) reproduces the
-        paper exactly.
     """
 
     sigmas: Tuple[float, ...] = (0.0, 0.05, 0.10, 0.15, 0.20)
@@ -65,8 +63,6 @@ class Fig7Config:
     eval_samples: int = 200
     mode: MVMMode = MVMMode.EXACT
     seed: int = 0
-    stuck_on: float = 0.0
-    stuck_off: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.sigmas:
@@ -83,8 +79,6 @@ class Fig7Config:
             )
         if self.eval_samples < 10:
             raise ConfigurationError("need at least 10 evaluation samples")
-        if not 0 <= self.stuck_on <= 1 or not 0 <= self.stuck_off <= 1:
-            raise ConfigurationError("stuck-at rates must be in [0, 1]")
         if len(set(self.sigmas)) != len(self.sigmas):
             raise ConfigurationError(f"duplicate sigmas in {self.sigmas}")
         if self.networks is not None:
@@ -98,11 +92,6 @@ class Fig7Config:
                     f"unknown networks {unknown}; available: "
                     f"{list(NETWORK_SPECS)}"
                 )
-
-    @property
-    def has_faults(self) -> bool:
-        """Whether any stuck-at defects are layered on the variation."""
-        return self.stuck_on > 0 or self.stuck_off > 0
 
 
 @dataclasses.dataclass
@@ -146,98 +135,34 @@ class Fig7Result:
         )
 
 
-def _make_injector(config: Fig7Config, sigma: float):
-    """The disturbance of one σ column: variation, then the stuck-at
-    defects when ``config`` has any (null at σ = 0 without faults)."""
-    from ..faults import CompositeInjector, StuckAtInjector, VariationInjector
+class _Fig7Spec(CampaignSpec):
+    """One network's σ columns as a campaign grid (rate 0, age 0, no
+    remap), so a σ column is the campaign's ``VariationInjector(σ)``.
 
-    variation = VariationInjector(sigma=sigma)
-    if not config.has_faults:
-        return variation
-    stuck = StuckAtInjector(
-        stuck_on_rate=config.stuck_on, stuck_off_rate=config.stuck_off
-    )
-    if sigma == 0:
-        return stuck
-    return CompositeInjector(variation, stuck)
-
-
-def _prepare_network(
-    net: TrainedNetwork, config: Fig7Config
-) -> Tuple[PIMExecutor, np.ndarray, np.ndarray]:
-    """Map + calibrate one benchmark network (deterministic)."""
-    backend = ReSiPEBackend(
-        params=CircuitParameters.calibrated(), mode=config.mode
-    )
-    mapped = compile_network(net.model, backend)
-    calibration = net.train.images[: min(64, len(net.train))]
-    executor = PIMExecutor(mapped, calibration)
-    x_eval = net.test.images[: config.eval_samples]
-    y_eval = net.test.labels[: config.eval_samples]
-    return executor, x_eval, y_eval
-
-
-def _sigma_column(
-    net: TrainedNetwork,
-    executor: PIMExecutor,
-    config: Fig7Config,
-    sigma: float,
-    x_eval: np.ndarray,
-    y_eval: np.ndarray,
-    trial_batch: int,
-) -> Tuple[float, float]:
-    """(mean, min) accuracy of one σ column over the Monte-Carlo trials.
-
-    Trials are seeded by identity (network key, σ, trial index) and
-    evaluated ``trial_batch`` at a time as one trial stack —
-    bit-identical to one trial at a time at any batch size.
+    Two things keep Fig. 7's own numbers: the per-trial RNG token, and
+    one realization of the null column (σ = 0), which is deterministic;
+    the mean of ``trials`` identical floats is not always that float.
     """
-    injector = _make_injector(config, sigma)
-    if injector.is_null:
-        acc = executor.accuracy(x_eval, y_eval)
-        return (acc, acc)
-    accs: List[float] = []
-    for start in range(0, config.trials, trial_batch):
-        stop = min(start + trial_batch, config.trials)
-        clones = [
-            executor.faulted(
-                injector,
-                trial_rng(config.seed, f"{net.spec.key}|{sigma:.4f}|{trial}"),
-            ).network
-            for trial in range(start, stop)
+
+    def points(self) -> List[Point]:
+        return [
+            point for point in super().points()
+            if point[3] == 0 or self.injector_for(*point[:3]) is not None
         ]
-        stacked = executor.accuracy_trials(x_eval, y_eval, clones)
-        accs.extend(float(a) for a in stacked)
-    return (float(np.mean(accs)), float(np.min(accs)))
+
+    def rng_for(self, rate: float, sigma: float, age: float,
+                trial: int) -> np.random.Generator:
+        return trial_rng(self.seed, f"{self.network}|{sigma:.4f}|{trial}")
 
 
-def _fig7_prepare(
-    config: Fig7Config, cell: CampaignCell
-) -> Tuple[TrainedNetwork, PIMExecutor, np.ndarray, np.ndarray]:
-    """The ``prepare/{key}`` cell: train (or load) one benchmark network
-    and map + calibrate its chip, in the parent process."""
-    with _telemetry.span("fig7.network", network=cell.payload):
-        net = get_benchmark_networks(
-            keys=[cell.payload], n_samples=config.n_samples,
-            seed=config.seed,
-        )[0]
-        return (net,) + _prepare_network(net, config)
-
-
-def _fig7_column(
-    config: Fig7Config, trial_batch: int, sigma: float,
-    prepared: Tuple[TrainedNetwork, PIMExecutor, np.ndarray, np.ndarray],
-) -> Tuple[float, float]:
-    """The ``column/{key}/{sigma}`` cell: one σ column of a prepared
-    network (seeded by identity, so any process computes the same)."""
-    net, executor, x_eval, y_eval = prepared
-    with _telemetry.span(
-        "fig7.sigma_column",
-        network=net.spec.key, sigma=sigma, trials=config.trials,
-    ):
-        return _sigma_column(
-            net, executor, config, sigma, x_eval, y_eval, trial_batch
-        )
+def _campaign_spec(config: Fig7Config, network: str) -> _Fig7Spec:
+    """The grid of one network's Fig. 7 row."""
+    return _Fig7Spec(
+        network=network, rates=(0.0,), sigmas=config.sigmas, ages=(0.0,),
+        trials=config.trials, seed=config.seed, n_samples=config.n_samples,
+        eval_samples=config.eval_samples, backend="resipe",
+        mode=config.mode.value, remap=False,
+    )
 
 
 def run_fig7(config: Optional[Fig7Config] = None, workers: int = 1,
@@ -249,10 +174,11 @@ def run_fig7(config: Optional[Fig7Config] = None, workers: int = 1,
     config:
         Study knobs (defaults to the paper's protocol).
     workers:
-        Worker processes; 1 (default) runs in-process.  The study is a
-        :class:`~repro.runtime.CampaignScheduler` DAG at every worker
-        count: one parent-side prepare cell per network feeding its
-        (network, σ) column cells on the pool; crashed workers are
+        Worker processes; 1 (default) runs in-process.  The study is
+        one fault-campaign DAG
+        (:func:`~repro.faults.campaign.run_trial_groups`)
+        at every worker count: one parent-side prepare cell per network
+        feeding its trial-group cells on the pool; crashed workers are
         retried on a fresh pool.
     trial_batch:
         Monte-Carlo trials evaluated per stacked forward pass.
@@ -278,38 +204,34 @@ def run_fig7(config: Optional[Fig7Config] = None, workers: int = 1,
 def _run_fig7_inner(config: Fig7Config, workers: int,
                     trial_batch: int) -> Fig7Result:
     keys = list(NETWORK_SPECS if config.networks is None else config.networks)
-    cells = []
-    for key in keys:
-        cells.append(
-            CampaignCell(key=f"prepare/{key}", payload=key, local=True)
-        )
-        cells.extend(
-            CampaignCell(
-                key=f"column/{key}/{sigma!r}",
-                payload=sigma,
-                deps=(f"prepare/{key}",),
-            )
-            for sigma in config.sigmas
-        )
-    scheduler = CampaignScheduler(
-        functools.partial(_fig7_column, config, trial_batch),
-        workers=workers,
-        local_fn=functools.partial(_fig7_prepare, config),
-    )
-    results = scheduler.run(cells)
+    specs = [_campaign_spec(config, key) for key in keys]
+    chips: Dict[str, Any] = {}
+    records: Dict[str, Dict[Point, dict]] = {key: {} for key in keys}
+
+    def collect(spec: CampaignSpec, points: Sequence[Point],
+                recs: List[dict]) -> None:
+        records[spec.network].update(zip(points, recs))
+
+    run_trial_groups([(spec, spec.points()) for spec in specs], workers,
+                     trial_batch, chips, collect)
     rows = []
-    for key in keys:
-        net, _executor, x_eval, y_eval = results[f"prepare/{key}"]
-        software = float(
-            np.mean(net.model.predict(x_eval, batch_size=128) == y_eval)
-        )
+    for spec in specs:
+        chip = chips[spec.network]
+        curve = CampaignResult(
+            spec, [records[spec.network][p] for p in spec.points()],
+            computed=len(records[spec.network]), cached=0,
+        ).curve()
+        software = float(np.mean(
+            chip.model.predict(chip.x_eval, batch_size=128) == chip.y_eval
+        ))
         rows.append(
             NetworkAccuracy(
-                display=net.spec.display,
+                display=NETWORK_SPECS[spec.network].display,
                 software_accuracy=software,
                 by_sigma={
-                    sigma: results[f"column/{key}/{sigma!r}"]
-                    for sigma in config.sigmas
+                    point["sigma"]: (point["unprotected_mean"],
+                                     point["unprotected_min"])
+                    for point in curve
                 },
             )
         )
@@ -330,9 +252,4 @@ def render_fig7(result: Fig7Result) -> str:
             + [r.drop(sigmas[-1])]
         )
     title = "Fig. 7 — accuracy under process variation (ReSiPE, exact circuit)"
-    if result.config.has_faults:
-        title += (
-            f" + stuck-at on={result.config.stuck_on:.1%} "
-            f"off={result.config.stuck_off:.1%}"
-        )
     return render_table(headers, rows, title=title)

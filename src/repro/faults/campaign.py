@@ -20,14 +20,18 @@ interrupted campaign resumes exactly where it stopped: finished trials
 are served from the store (``CampaignResult.cached``) and only missing
 ones are recomputed (``CampaignResult.computed``).  Records are
 bit-reproducible for a fixed seed — the per-trial RNG stream is
-derived from ``(seed, rate, sigma, age, trial)`` exactly like the
-Fig. 7 runner.
+derived from ``(seed, network, rate, sigma, age, trial)``.
+
+The Fig. 7 study runs through the same driver (:func:`run_trial_groups`)
+as a grid of rate 0, age 0 and no remap; its spec keeps its own
+per-trial RNG token, so its streams are not the campaign's.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+import itertools
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +48,7 @@ from ..mapping import (
     compile_network,
 )
 from ..mapping.remap import detect_and_remap
+from ..nn import Sequential
 from ..runtime import CampaignCell, CampaignScheduler, trial_rng
 from ..store import ArtifactStore, get_store, spec_hash
 from ..telemetry import context as _trace
@@ -62,7 +67,11 @@ __all__ = [
     "CampaignResult",
     "FaultCampaign",
     "render_campaign",
+    "run_trial_groups",
 ]
+
+#: One trial of a campaign grid: (rate, sigma, age, trial).
+Point = Tuple[float, float, float, int]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -171,7 +180,7 @@ class CampaignSpec:
             raise ConfigurationError("need at least 10 evaluation samples")
 
     # ------------------------------------------------------------------
-    def points(self) -> List[Tuple[float, float, float, int]]:
+    def points(self) -> List[Point]:
         """The full trial grid: (rate, sigma, age, trial) tuples."""
         return [
             (rate, sigma, age, trial)
@@ -271,9 +280,11 @@ class CampaignResult:
 
 
 class _Chip(NamedTuple):
-    """A campaign's pristine chip: trained, mapped and calibrated."""
+    """A campaign's pristine chip: trained, mapped and calibrated, with
+    the software model it was mapped from."""
 
     spec: CampaignSpec
+    model: Sequential
     backend: HardwareBackend
     mapped: MappedNetwork
     executor: PIMExecutor
@@ -306,15 +317,14 @@ def _prepare_chip(cell: CampaignCell) -> _Chip:
         seed=spec.seed,
     )
     return _Chip(
-        spec, backend, mapped, PIMExecutor(mapped, calibration), probe,
+        spec, net.model, backend, mapped,
+        PIMExecutor(mapped, calibration), probe,
         net.test.images[: spec.eval_samples],
         net.test.labels[: spec.eval_samples],
     )
 
 
-def _run_trial_group(
-    points: Sequence[Tuple[float, float, float, int]], chip: _Chip
-) -> List[dict]:
+def _run_trial_group(points: Sequence[Point], chip: _Chip) -> List[dict]:
     """Records for a batch of grid points, in ``points`` order.
 
     The worker function of the campaign DAG's group cells; ``chip`` is
@@ -343,10 +353,9 @@ def _run_trial_group(
         return _run_trial_group_inner(points, chip)
 
 
-def _run_trial_group_inner(
-    points: Sequence[Tuple[float, float, float, int]], chip: _Chip
-) -> List[dict]:
-    spec, backend, mapped, executor, probe, x_eval, y_eval = chip
+def _run_trial_group_inner(points: Sequence[Point],
+                           chip: _Chip) -> List[dict]:
+    spec, _model, backend, mapped, executor, probe, x_eval, y_eval = chip
     prepared = []
     for rate, sigma, age, trial in points:
         rng = spec.rng_for(rate, sigma, age, trial)
@@ -413,6 +422,70 @@ def _run_trial_group_inner(
     return records
 
 
+def _trial_groups(points: Sequence[Point],
+                  trial_batch: int) -> List[Tuple[Point, ...]]:
+    """``points`` cut into trial groups: each group holds trials of one
+    grid point only, at most ``trial_batch`` of them."""
+    groups: List[Tuple[Point, ...]] = []
+    for _, same in itertools.groupby(points, key=lambda point: point[:3]):
+        trials = tuple(same)
+        groups.extend(
+            trials[i : i + trial_batch]
+            for i in range(0, len(trials), trial_batch)
+        )
+    return groups
+
+
+def run_trial_groups(
+    work: Sequence[Tuple[CampaignSpec, Sequence[Point]]],
+    workers: int,
+    trial_batch: int,
+    chips: Dict[str, _Chip],
+    on_records: Callable[[CampaignSpec, Sequence[Point], List[dict]], None],
+) -> int:
+    """Run the given points of each spec as one scheduler DAG; returns
+    the worker-pool rebuilds.
+
+    The DAG holds one parent-side ``prepare/{network}`` cell per spec
+    (:func:`_prepare_chip`), feeding that spec's trial-group cells
+    (:func:`_run_trial_group`, pooled at ``workers > 1``).  A prepared
+    chip lands in ``chips`` under its network key; a chip already there
+    is reused, not prepared again.  Each group's records reach
+    ``on_records(spec, points, records)`` in the parent as the group
+    lands.
+    """
+    specs: Dict[str, CampaignSpec] = {}
+    cells: List[CampaignCell] = []
+    for spec, points in work:
+        prepare = f"prepare/{spec.network}"
+        specs[prepare] = spec
+        cells.append(CampaignCell(key=prepare, payload=spec, local=True))
+        cells.extend(
+            CampaignCell(
+                key=f"group/{spec.network}/{i}", payload=group,
+                deps=(prepare,),
+            )
+            for i, group in enumerate(_trial_groups(points, trial_batch))
+        )
+
+    def merge(cell: CampaignCell, result) -> None:
+        if cell.local:
+            chips[cell.payload.network] = result
+        else:
+            on_records(specs[cell.deps[0]], cell.payload, result)
+
+    scheduler = CampaignScheduler(
+        _run_trial_group, workers=workers, local_fn=_prepare_chip
+    )
+    scheduler.run(
+        cells, on_result=merge,
+        completed=lambda cell: (
+            chips.get(cell.payload.network) if cell.local else None
+        ),
+    )
+    return scheduler.pool_rebuilds
+
+
 class FaultCampaign:
     """Runs (and resumes) a :class:`CampaignSpec` through the store.
 
@@ -429,8 +502,9 @@ class FaultCampaign:
                  store: Optional[ArtifactStore] = None) -> None:
         self.spec = spec
         self.store = store if store is not None else get_store()
-        #: the prepared chip, kept across runs of this instance
-        self._prepared: Optional[_Chip] = None
+        #: the prepared chip (under its network key), kept across runs
+        #: of this instance
+        self._chips: Dict[str, _Chip] = {}
 
     # ------------------------------------------------------------------
     def trial_key(self, rate: float, sigma: float, age: float,
@@ -490,8 +564,8 @@ class FaultCampaign:
                    workers: int, trial_batch: int) -> CampaignResult:
         session = _telemetry.active()
         fingerprint = self.spec.fingerprint()
-        stored_records: Dict[Tuple[float, float, float, int], dict] = {}
-        pending: List[Tuple[float, float, float, int]] = []
+        stored_records: Dict[Point, dict] = {}
+        pending: List[Point] = []
         for point in self.spec.points():
             stored = self.store.get_json(
                 self.trial_key(*point), spec_hash=fingerprint
@@ -506,48 +580,26 @@ class FaultCampaign:
             session.count("campaign.trials.started", len(pending))
             session.count("campaign.trials.cached", len(stored_records))
 
-        computed_records: Dict[Tuple[float, float, float, int], dict] = {}
+        computed_records: Dict[Point, dict] = {}
 
-        def merge(cell: CampaignCell, result) -> None:
-            """Parent-side merge: keep the prepared chip; persist trial
-            records as soon as computed."""
-            if cell.local:
-                self._prepared = result
-                return
-            for point, record in zip(cell.payload, result):
+        def persist(_spec: CampaignSpec, points: Sequence[Point],
+                    records: List[dict]) -> None:
+            """Parent-side merge: persist trial records as soon as
+            computed."""
+            for point, record in zip(points, records):
                 self.store.put_json(
                     self.trial_key(*point), record, spec_hash=fingerprint
                 )
                 computed_records[point] = record
             if session is not None:
-                session.count("campaign.trials.computed", len(result))
+                session.count("campaign.trials.computed", len(records))
 
         pool_rebuilds = 0
         if pending:
-            groups = [
-                tuple(pending[i : i + trial_batch])
-                for i in range(0, len(pending), trial_batch)
-            ]
-            # The grid as a DAG: one parent-side prepare cell (train +
-            # map + calibrate the chip, once per instance) feeding one
-            # pooled cell per trial group.
-            cells = [CampaignCell(key="prepare", payload=self.spec,
-                                  local=True)]
-            cells.extend(
-                CampaignCell(
-                    key=f"group/{i}", payload=group, deps=("prepare",)
-                )
-                for i, group in enumerate(groups)
+            pool_rebuilds = run_trial_groups(
+                [(self.spec, pending)], workers, trial_batch, self._chips,
+                persist,
             )
-
-            scheduler = CampaignScheduler(
-                _run_trial_group, workers=workers, local_fn=_prepare_chip
-            )
-            scheduler.run(
-                cells, on_result=merge,
-                completed=lambda cell: self._prepared if cell.local else None,
-            )
-            pool_rebuilds = scheduler.pool_rebuilds
 
         records: List[dict] = []
         computed = cached = 0

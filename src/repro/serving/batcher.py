@@ -40,10 +40,9 @@ after ``threshold`` consecutive failures the model fails fast with
 half-open probe batch decides whether to close again.
 
 Drain: :meth:`drain` stops intake, lets the coalescer flush every
-pending request, then pushes one deliberate *empty* batch through the
-full compute path as an end-of-stream barrier — which is why
-:meth:`~repro.mapping.executor.PIMExecutor.predict` must be
-well-defined on zero-row input.  :meth:`abort` is the impatient
+pending request, then waits for one no-op on the compute pool as an
+end-of-stream barrier; the barrier is not a batch, so it records no
+breaker or batch outcome.  :meth:`abort` is the impatient
 sibling used when the drain grace period expires: it *fails* every
 unresolved waiter instead of hanging them.
 
@@ -355,11 +354,14 @@ class MicroBatcher:
             if not self._pending:
                 self._cycle_anchor = None
                 if self._draining:
-                    # End-of-stream barrier: a zero-row batch through
-                    # the same compute path, so drain returns only
-                    # after the pool has executed everything queued
-                    # before it.
-                    await self._flush([])
+                    # End-of-stream barrier: a no-op on the compute
+                    # pool, so drain returns only after the pool has
+                    # executed everything queued before it.  It is not
+                    # a batch: no breaker or batch outcome is recorded
+                    # (the daemon's drain grace period bounds it).
+                    await asyncio.get_running_loop().run_in_executor(
+                        self._compute.executor, int
+                    )
                     return
                 await self._arrival.wait()
                 self._arrival.clear()
@@ -405,10 +407,7 @@ class MicroBatcher:
     async def _flush(self, batch: List[_Pending]) -> None:
         rows = [int(np.asarray(item.x).shape[0]) for item in batch]
         total_rows = sum(rows)
-        if batch:
-            x = np.concatenate([item.x for item in batch], axis=0)
-        else:
-            x = np.zeros((0,) + self.entry.input_shape)
+        x = np.concatenate([item.x for item in batch], axis=0)
         self._inflight = batch
         start = perf()
         timeout = self.compute_timeout_s if self.compute_timeout_s > 0 else None

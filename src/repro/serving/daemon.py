@@ -340,7 +340,13 @@ class BackgroundServer:
             try:
                 await self._stop.wait()
             finally:
-                await self.daemon.shutdown()
+                try:
+                    await self.daemon.shutdown()
+                finally:
+                    # A shutdown that died before releasing the listener
+                    # would leave its port bound for the daemon's life.
+                    if self.daemon._server is not None:
+                        self.daemon._server.close()
 
         try:
             asyncio.run(body())

@@ -3,7 +3,7 @@
 A :class:`Tracer` hands out spans two ways:
 
 * :meth:`Tracer.span` — a context manager for code the caller wraps
-  inline (``with tracer.span("fig7.sigma_column", sigma=0.1): ...``);
+  inline (``with tracer.span("campaign.trial_group", sigma=0.1): ...``);
   nesting follows the ``with`` structure.
 * :meth:`Tracer.record_span` — for intervals timed elsewhere (e.g. the
   parent-side turnaround of a pooled campaign cell, whose start/end

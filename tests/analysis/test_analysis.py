@@ -1,10 +1,9 @@
-"""Fitting, metrics, sweep and table utilities."""
+"""Fitting, metrics and table utilities."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import (
-    SweepResult,
     accuracy_score,
     fit_linear,
     fit_polynomial,
@@ -13,7 +12,6 @@ from repro.analysis import (
     r_squared,
     render_table,
     rmse,
-    sweep,
 )
 from repro.errors import ConfigurationError, ShapeError
 
@@ -80,37 +78,6 @@ class TestMetrics:
     def test_shape_checked(self):
         with pytest.raises(ShapeError):
             rmse(np.zeros(2), np.zeros(3))
-
-
-class TestSweep:
-    def test_collects_measurements(self):
-        result = sweep("x", [1, 2, 3], lambda v: {"sq": v * v, "neg": -v})
-        assert result.series("sq").tolist() == pytest.approx([1.0, 4.0, 9.0])
-        assert result.keys() == ["neg", "sq"]
-
-    def test_as_rows(self):
-        result = sweep("x", [2], lambda v: {"a": v})
-        assert result.as_rows() == [[2, 2]]
-
-    def test_unknown_key(self):
-        result = sweep("x", [1], lambda v: {"a": v})
-        with pytest.raises(ConfigurationError):
-            result.series("b")
-
-    def test_inconsistent_keys_rejected(self):
-        def measure(v):
-            return {"a": v} if v == 1 else {"b": v}
-
-        with pytest.raises(ConfigurationError):
-            sweep("x", [1, 2], measure)
-
-    def test_empty_values_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sweep("x", [], lambda v: {"a": v})
-
-    def test_bad_measurement_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sweep("x", [1], lambda v: None)
 
 
 class TestRenderTable:

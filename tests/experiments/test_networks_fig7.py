@@ -113,34 +113,92 @@ class TestFig7:
 
 
 class TestFig7Pool:
-    """The Fig. 7 DAG gives the same rows at any worker count, and only
-    the parent loads networks: forked workers use its prepared chips."""
+    """Fig. 7 gives the same rows at any worker count, and only the
+    parent loads networks: forked workers use its prepared chips."""
 
-    @pytest.mark.parametrize("faults", [
-        {},
-        {"stuck_on": 0.01, "stuck_off": 0.02},
-    ], ids=["variation", "stuck-at"])
-    def test_rows_identical_at_workers_1_and_2(
-        self, tmp_path, monkeypatch, faults
-    ):
-        from repro.experiments import fig7_accuracy
+    def test_rows_identical_at_workers_1_and_2(self, tmp_path, monkeypatch):
+        from repro.experiments import networks
 
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "models"))
         log = tmp_path / "loads"
-        original = fig7_accuracy.get_benchmark_networks
+        original = networks.get_benchmark_networks
 
         def logged(*args, **kwargs):
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(fig7_accuracy, "get_benchmark_networks", logged)
+        monkeypatch.setattr(networks, "get_benchmark_networks", logged)
         config = Fig7Config(
             sigmas=(0.0, 0.1, 0.2), trials=2, networks=("mlp-1",),
-            n_samples=300, eval_samples=50, **faults,
+            n_samples=300, eval_samples=50,
         )
         serial = run_fig7(config, workers=1)
         pooled = run_fig7(config, workers=2)
         assert pooled.rows == serial.rows
         with open(log) as fh:
             assert [int(pid) for pid in fh] == [os.getpid()] * 2
+
+
+def _column_oracle(config):
+    """Fig. 7 rows by the plain σ-column loop: one network at a time,
+    ``VariationInjector(σ)`` per trial under Fig. 7's RNG token, each
+    clone evaluated alone, and one evaluation for σ = 0."""
+    from repro.config import CircuitParameters
+    from repro.faults import VariationInjector
+    from repro.mapping import PIMExecutor, ReSiPEBackend, compile_network
+    from repro.runtime import trial_rng
+
+    rows = []
+    for key in config.networks:
+        (net,) = get_benchmark_networks(
+            keys=[key], n_samples=config.n_samples, seed=config.seed
+        )
+        backend = ReSiPEBackend(params=CircuitParameters.calibrated(),
+                                mode=config.mode)
+        executor = PIMExecutor(compile_network(net.model, backend),
+                               net.train.images[:64])
+        x = net.test.images[: config.eval_samples]
+        y = net.test.labels[: config.eval_samples]
+        by_sigma = {}
+        for sigma in config.sigmas:
+            accs = [executor.accuracy(x, y)] if sigma == 0 else [
+                executor.faulted(
+                    VariationInjector(sigma),
+                    trial_rng(config.seed, f"{key}|{sigma:.4f}|{trial}"),
+                ).accuracy(x, y)
+                for trial in range(config.trials)
+            ]
+            by_sigma[sigma] = (float(np.mean(accs)), float(np.min(accs)))
+        software = float(np.mean(net.model.predict(x, batch_size=128) == y))
+        rows.append((net.spec.display, software, by_sigma))
+    return rows
+
+
+class TestFig7ColumnOracle:
+    """The campaign-grid Fig. 7 equals the σ-column loop it replaced,
+    at every worker count and trial batch."""
+
+    # Five trials leave a partial group at trial_batch 3.  At this seed
+    # the mean of five copies of MLP-2's sigma = 0 accuracy (0.84) is
+    # not 0.84, so a sigma = 0 column of five realizations would show.
+    CONFIG = Fig7Config(
+        sigmas=(0.0, 0.1, 0.2), trials=5, networks=("mlp-1", "mlp-2"),
+        n_samples=300, eval_samples=50, seed=5,
+    )
+
+    @pytest.fixture(scope="class")
+    def oracle(self, tmp_path_factory):
+        root = str(tmp_path_factory.mktemp("fig7-oracle"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_CACHE", root)
+            yield _column_oracle(self.CONFIG)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("trial_batch", [1, 3])
+    def test_rows_equal_the_oracle(self, oracle, workers, trial_batch):
+        result = run_fig7(self.CONFIG, workers=workers,
+                          trial_batch=trial_batch)
+        rows = [(r.display, r.software_accuracy, r.by_sigma)
+                for r in result.rows]
+        assert rows == oracle

@@ -172,7 +172,7 @@ class TestWorkerState:
         )
         campaign.run(max_trials=2)
         assert len(seen) == 2
-        assert all(chip is campaign._prepared for chip in seen)
+        assert all(chip is campaign._chips[spec.network] for chip in seen)
         # A second run of the instance prepares nothing again.
         campaign.run()
         assert len(seen) == 4
@@ -294,13 +294,14 @@ class TestCLI:
         assert args.seed == 7
         assert args.no_remap
 
-    def test_fig7_gains_seed_and_fault_flags(self):
+    def test_fig7_gains_seed_and_fault_flags(self, capsys):
+        """``repro fig7`` takes a seed but no stuck-at flags: variation
+        with stuck-at on top is a ``repro faults`` grid."""
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["fig7", "--seed", "3", "--stuck-on", "0.01",
-             "--stuck-off", "0.02"]
-        )
-        assert args.seed == 3
-        assert args.stuck_on == pytest.approx(0.01)
-        assert args.stuck_off == pytest.approx(0.02)
+        parser = build_parser()
+        assert parser.parse_args(["fig7", "--seed", "3"]).seed == 3
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["fig7", "--stuck-on", "0.01"])
+        assert exc.value.code == 2
+        assert "--stuck-on" in capsys.readouterr().err

@@ -259,9 +259,8 @@ class TestDrain:
         assert served == serial_labels(slow_entry, rows[:6])
 
     def test_idle_drain_runs_the_empty_flush_barrier(self, entry):
-        """Draining an idle batcher pushes one zero-row batch through
-        the full compute path — the crash the executor empty-batch fix
-        removed."""
+        """Draining an idle batcher waits on the compute pool but runs
+        no batch: the end-of-stream barrier is not a flush."""
 
         async def body():
             batcher, compute = _batcher(entry)
@@ -271,8 +270,33 @@ class TestDrain:
             return batcher
 
         batcher = _run(body())
-        assert _count(batcher, "batches") == 1  # the end-of-stream barrier
+        assert _count(batcher, "batches") == 0
         assert _count(batcher, "requests") == 0
+
+    def test_drain_barrier_leaves_an_open_breaker_open(
+        self, scripted_entry, rows
+    ):
+        """The end-of-stream barrier records no batch outcome: a breaker
+        opened by a failed batch is still open after the drain, and the
+        batch count has not moved."""
+
+        async def body():
+            breaker = CircuitBreaker(threshold=1, cooldown_s=60.0,
+                                     clock=FakeClock())
+            batcher, compute = _batcher(scripted_entry(["fail"]),
+                                        breaker=breaker)
+            batcher.start()
+            with pytest.raises(RuntimeError, match="scripted"):
+                await _bounded(batcher.submit(rows[0]))
+            assert breaker.state == CircuitBreaker.OPEN
+            batches = _count(batcher, "batches")
+            await _bounded(batcher.drain())
+            compute.shutdown()
+            return breaker, batches, _count(batcher, "batches")
+
+        breaker, before, after = _run(body())
+        assert breaker.state == CircuitBreaker.OPEN
+        assert after == before
 
 
 class TestDeadlineAdmission:

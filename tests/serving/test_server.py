@@ -1,5 +1,6 @@
 """End-to-end daemon tests over real sockets (ephemeral ports)."""
 
+import socket
 import threading
 import time
 
@@ -392,6 +393,22 @@ class TestBackgroundServerErrors:
         server.daemon.shutdown = boom
         with pytest.raises(ExecutionError, match="died while running"):
             server.stop()
+
+    def test_loop_death_releases_the_listener(self, registry):
+        """A loop that died mid-shutdown still closes the daemon's
+        listening socket: the port binds again."""
+        server = BackgroundServer(registry, _config()).start()
+        host, port = server.host, server.port
+
+        async def boom():
+            raise RuntimeError("loop exploded")
+
+        server.daemon.shutdown = boom
+        with pytest.raises(ExecutionError, match="died while running"):
+            server.stop()
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind((host, port))
 
     def test_stop_raises_when_the_loop_outlives_its_bound(
         self, registry, monkeypatch

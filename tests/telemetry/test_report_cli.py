@@ -89,7 +89,7 @@ class TestFig7Report:
         assert "Run manifest" in out
         assert "fig7" in out
         assert "cli.fig7" in out
-        assert "fig7.sigma_column" in out
+        assert "campaign.trial_group" in out
         assert "mvm.count" in out
 
     def test_json_report_validates_and_counts_mvms(self, fig7_run, capsys):
@@ -103,8 +103,11 @@ class TestFig7Report:
         assert any(name.startswith("store.") for name in counters)
         names = [s["name"] for s in doc["spans"]]
         assert names[0] == "cli.fig7"
-        assert "fig7.network" in names
-        assert names.count("fig7.sigma_column") == 2
+        # The --fast grid (sigmas 0 and 0.1, 2 trials, trial batch 1):
+        # one group for the sigma = 0 realization, one per trial at
+        # sigma = 0.1, plus the network's prepare cell.
+        assert names.count("campaign.trial_group") == 3
+        assert names.count("scheduler.cell") == 4
 
     def test_manifest_fingerprint_excludes_execution_knobs(self, fig7_run):
         """The telemetry directory is not part of the run identity: two
