@@ -20,7 +20,7 @@ Quick start::
     y = engine.mvm_values(np.random.default_rng(1).random(32))
 """
 
-from .config import CircuitParameters, default_parameters
+from .config import CircuitParameters
 from .core import (
     ColumnOutputGenerator,
     GlobalDecoder,
@@ -48,7 +48,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CircuitParameters",
-    "default_parameters",
     "SingleSpikeCodec",
     "GlobalDecoder",
     "ColumnOutputGenerator",

@@ -2,8 +2,8 @@
 
 The paper fits three curves through the (input-strength, t_out) samples:
 Curve 1 over the linear-regime points and Curves 2–3 over fixed high
-total conductances.  Least-squares linear and polynomial fits with a
-goodness-of-fit metric cover all three.
+total conductances.  A least-squares line fit with a goodness-of-fit
+metric covers all three.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import ShapeError
 
-__all__ = ["LinearFit", "fit_linear", "fit_polynomial", "r_squared"]
+__all__ = ["LinearFit", "fit_linear", "r_squared"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,13 +70,3 @@ def fit_linear(
     fit = LinearFit(slope=slope, intercept=intercept, r2=0.0)
     return LinearFit(slope=slope, intercept=intercept,
                      r2=r_squared(y, fit.predict(x)))
-
-
-def fit_polynomial(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
-    """Least-squares polynomial coefficients (highest power first)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _check_xy(x, y)
-    if degree < 1 or degree >= x.size:
-        raise ShapeError(f"degree must be in [1, {x.size - 1}], got {degree}")
-    return np.polyfit(x, y, degree)

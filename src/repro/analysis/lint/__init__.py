@@ -37,7 +37,6 @@ from .rules import RULES, Rule, check_source, get_rule
 from .runner import (
     LintReport,
     ModuleSource,
-    lint_file,
     lint_paths,
     render_json,
     render_sarif,
@@ -54,7 +53,6 @@ __all__ = [
     "check_source",
     "filter_exempt",
     "get_rule",
-    "lint_file",
     "lint_paths",
     "parse_exemptions",
     "render_json",

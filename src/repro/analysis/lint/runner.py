@@ -26,7 +26,6 @@ from .sarif import render_sarif
 __all__ = [
     "LintReport",
     "ModuleSource",
-    "lint_file",
     "lint_paths",
     "render_json",
     "render_sarif",
@@ -133,20 +132,6 @@ def _check_modules(
         exempted += dropped
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings, exempted
-
-
-def lint_file(
-    path: str,
-    root: str,
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Finding]:
-    """Run all (or the given) rules over one file."""
-    modules, errors, _files = _parse_modules([path], root)
-    if errors:
-        raise SyntaxError(errors[0])
-    selected = list(rules if rules is not None else RULES.values())
-    findings, _exempted = _check_modules(modules, selected)
-    return findings
 
 
 def lint_paths(

@@ -1,7 +1,7 @@
 """Seeded, composable infrastructure fault injectors.
 
 Where :mod:`repro.faults` injects *device* faults (stuck-at cells,
-conductance drift, wear) into the simulated crossbars, this module
+conductance drift) into the simulated crossbars, this module
 injects *infrastructure* faults into the serving stack itself: a
 forward pass that raises, a forward pass that hangs past the compute
 timeout, a model artifact that is corrupt at registry-load time, and a

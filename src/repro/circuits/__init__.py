@@ -3,31 +3,21 @@
 This subpackage replaces the paper's Cadence Virtuoso setup with an exact
 semi-analytic toolkit for the class of circuits ReSiPE is built from:
 
-* :mod:`repro.circuits.rc` — closed-form first-order RC responses.
+* :mod:`repro.circuits.rc` — Thevenin reduction of the resistive
+  branches that charge a capacitor (the paper's Eq. 2).
 * :mod:`repro.circuits.waveform` — sampled waveforms with arithmetic,
   interpolation and edge/crossing detection.
-* :mod:`repro.circuits.spike` — the single-spike and spike-train signal
-  types used by every PIM design in the repo.
+* :mod:`repro.circuits.spike` — the single-spike signal type.
 * :mod:`repro.circuits.transient` — an event-driven piecewise-exponential
   transient simulator (sources, switches, RC nodes, comparators,
   sample-and-holds, pulse shapers).  Exact for first-order networks.
-* :mod:`repro.circuits.mna` — a modified-nodal-analysis DC solver used for
-  crossbar wire-parasitic (IR-drop) studies.
-* :mod:`repro.circuits.components` — element datatypes shared by the
-  solvers.
+* :mod:`repro.circuits.noise` — kT/C noise floors of the sampled
+  datapath.
 """
 
-from .rc import (
-    rc_charge,
-    rc_discharge,
-    rc_time_to_reach,
-    thevenin,
-    TheveninEquivalent,
-)
-from .spike import SingleSpike, SpikeTrain, NO_SPIKE
+from .rc import thevenin, TheveninEquivalent
+from .spike import SingleSpike, NO_SPIKE
 from .waveform import Waveform
-from .components import Capacitor, CurrentSource, Resistor, VoltageSource
-from .mna import DCCircuit, DCSolution
 from .transient import (
     Comparator,
     PulseShaper,
@@ -43,21 +33,11 @@ from .sample_hold import SampleHoldModel
 from .comparator import ComparatorModel
 
 __all__ = [
-    "rc_charge",
-    "rc_discharge",
-    "rc_time_to_reach",
     "thevenin",
     "TheveninEquivalent",
     "SingleSpike",
-    "SpikeTrain",
     "NO_SPIKE",
     "Waveform",
-    "Capacitor",
-    "CurrentSource",
-    "Resistor",
-    "VoltageSource",
-    "DCCircuit",
-    "DCSolution",
     "Comparator",
     "PulseShaper",
     "RCNodeSpec",

@@ -18,9 +18,7 @@ from ..errors import CircuitError
 __all__ = [
     "BOLTZMANN",
     "ktc_noise_voltage",
-    "minimum_capacitance_for_snr",
     "minimum_capacitance_for_bits",
-    "sampled_noise_charge",
 ]
 
 #: Boltzmann constant (J/K).
@@ -41,28 +39,6 @@ def ktc_noise_voltage(capacitance: float, temperature: float = _DEFAULT_T) -> fl
     if temperature <= 0:
         raise CircuitError(f"temperature must be positive, got {temperature!r}")
     return math.sqrt(BOLTZMANN * temperature / capacitance)
-
-
-def sampled_noise_charge(capacitance: float, temperature: float = _DEFAULT_T) -> float:
-    """RMS noise charge of one sampling event, ``sqrt(kTC)`` (coulombs)."""
-    if capacitance <= 0:
-        raise CircuitError(f"capacitance must be positive, got {capacitance!r}")
-    if temperature <= 0:
-        raise CircuitError(f"temperature must be positive, got {temperature!r}")
-    return math.sqrt(BOLTZMANN * temperature * capacitance)
-
-
-def minimum_capacitance_for_snr(
-    full_scale: float, snr_db: float, temperature: float = _DEFAULT_T
-) -> float:
-    """Smallest sampling capacitor achieving ``snr_db`` against a
-    ``full_scale`` signal swing (farads):
-
-        C_min = kT · 10^(SNR/10) / V_fs²
-    """
-    if full_scale <= 0:
-        raise CircuitError(f"full scale must be positive, got {full_scale!r}")
-    return BOLTZMANN * temperature * 10 ** (snr_db / 10.0) / full_scale**2
 
 
 def minimum_capacitance_for_bits(

@@ -6,105 +6,20 @@ events is exactly
 
     V(t) = V_inf + (V_0 - V_inf) * exp(-t / tau)
 
-These helpers evaluate that solution, invert it (time to reach a target
-voltage) and reduce resistive networks to Thevenin equivalents.  They are
-vectorised: scalar or array arguments both work.
+with ``V_inf`` and ``tau`` set by the Thevenin equivalent of the
+resistive branches driving the capacitor, which :func:`thevenin` computes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import CircuitError
 
-ArrayLike = Union[float, np.ndarray]
-
-__all__ = [
-    "rc_charge",
-    "rc_discharge",
-    "rc_value",
-    "rc_time_to_reach",
-    "TheveninEquivalent",
-    "thevenin",
-]
-
-
-def rc_value(t: ArrayLike, v0: ArrayLike, v_inf: ArrayLike, tau: ArrayLike) -> ArrayLike:
-    """Voltage of a first-order node at time ``t`` after the last event.
-
-    Parameters
-    ----------
-    t:
-        Elapsed time since the initial condition (seconds, >= 0).
-    v0:
-        Voltage at ``t = 0``.
-    v_inf:
-        Asymptotic (steady-state) voltage.
-    tau:
-        Time constant (seconds, > 0).  ``tau = inf`` freezes the node.
-    """
-    t = np.asarray(t, dtype=float)
-    tau_arr = np.asarray(tau, dtype=float)
-    if np.any(t < 0):
-        raise CircuitError("rc_value requires t >= 0")
-    if np.any(tau_arr <= 0):
-        raise CircuitError("rc_value requires tau > 0")
-    with np.errstate(over="ignore"):
-        decay = np.exp(-t / tau_arr)
-    result = np.asarray(v_inf + (np.asarray(v0, dtype=float) - v_inf) * decay)
-    return result if result.ndim else float(result)
-
-
-def rc_charge(t: ArrayLike, v_target: ArrayLike, tau: ArrayLike) -> ArrayLike:
-    """Charging from 0 V toward ``v_target``: ``v_target (1 - e^{-t/tau})``.
-
-    This is the exact form of the paper's Eq. (1) and Eq. (4).
-    """
-    return rc_value(t, 0.0, v_target, tau)
-
-
-def rc_discharge(t: ArrayLike, v0: ArrayLike, tau: ArrayLike) -> ArrayLike:
-    """Discharging from ``v0`` toward 0 V: ``v0 e^{-t/tau}``."""
-    return rc_value(t, v0, 0.0, tau)
-
-
-def rc_time_to_reach(
-    v_target: ArrayLike, v0: ArrayLike, v_inf: ArrayLike, tau: ArrayLike
-) -> ArrayLike:
-    """Time for a first-order node to reach ``v_target``.
-
-    Inverts ``V(t) = V_inf + (V_0 - V_inf) e^{-t/tau}``:
-
-        t = tau * ln((V_0 - V_inf) / (V_target - V_inf))
-
-    Returns ``inf`` where the trajectory never reaches the target (the
-    target lies beyond the asymptote, or the node starts past it moving
-    away).  Returns ``0`` where ``v_target == v0``.
-    """
-    v_target = np.asarray(v_target, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    v_inf = np.asarray(v_inf, dtype=float)
-    tau_arr = np.asarray(tau, dtype=float)
-    if np.any(tau_arr <= 0):
-        raise CircuitError("rc_time_to_reach requires tau > 0")
-
-    start_gap = v0 - v_inf
-    target_gap = v_target - v_inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = start_gap / target_gap
-        t = tau_arr * np.log(np.abs(ratio))
-    # Reachable iff the target sits strictly between v0 and v_inf
-    # (inclusive of v0 itself).  Ratio must be >= 1 with matching signs.
-    same_side = np.sign(start_gap) == np.sign(target_gap)
-    reachable = same_side & (np.abs(start_gap) >= np.abs(target_gap))
-    at_start = v_target == v0
-    out = np.where(reachable, t, np.inf)
-    out = np.where(at_start, 0.0, out)
-    out = np.asarray(out, dtype=float)
-    return out if out.ndim else float(out)
+__all__ = ["TheveninEquivalent", "thevenin"]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -2,22 +2,18 @@
 
 The single-spiking data format (paper Section III-A) represents a datum as
 the arrival time of exactly one spike inside a fixed-length time slice.
-:class:`SingleSpike` is that signal.  :class:`SpikeTrain` represents the
-multi-spike signals used by the rate-coding baseline, where the *number*
-of spikes in a window encodes the value.
+:class:`SingleSpike` is that signal.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 from ..errors import EncodingError
 from ..units import NANO
 
-__all__ = ["SingleSpike", "SpikeTrain", "NO_SPIKE"]
+__all__ = ["SingleSpike", "NO_SPIKE"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,68 +69,3 @@ class SingleSpike:
 
 #: Convenience instance representing the absence of a spike.
 NO_SPIKE = SingleSpike(time=None)
-
-
-@dataclasses.dataclass(frozen=True)
-class SpikeTrain:
-    """A series of spikes in a window, as used by rate-coding designs.
-
-    The encoded value is the spike *count* (equivalently the firing rate
-    over the window).  Spike times are kept so that power models can
-    integrate driver activity.
-    """
-
-    times: Tuple[float, ...]
-    width: float = 1 * NANO
-
-    def __post_init__(self) -> None:
-        if self.width <= 0:
-            raise EncodingError(f"spike width must be positive, got {self.width!r}")
-        times = tuple(float(t) for t in self.times)
-        if any(t < 0 for t in times):
-            raise EncodingError("spike times must be >= 0")
-        if list(times) != sorted(times):
-            raise EncodingError("spike times must be sorted ascending")
-        object.__setattr__(self, "times", times)
-
-    @classmethod
-    def uniform(cls, count: int, window: float, width: float = 1 * NANO) -> "SpikeTrain":
-        """Evenly spaced train of ``count`` spikes across ``window``."""
-        if count < 0:
-            raise EncodingError(f"spike count must be >= 0, got {count!r}")
-        if window <= 0:
-            raise EncodingError(f"window must be positive, got {window!r}")
-        if count == 0:
-            return cls(times=(), width=width)
-        period = window / count
-        times = tuple(i * period for i in range(count))
-        return cls(times=times, width=width)
-
-    @classmethod
-    def from_times(cls, times: Iterable[float], width: float = 1 * NANO) -> "SpikeTrain":
-        """Train from an explicit (sorted) time sequence."""
-        return cls(times=tuple(float(t) for t in times), width=width)
-
-    @property
-    def count(self) -> int:
-        """Number of spikes in the train."""
-        return len(self.times)
-
-    def rate(self, window: float) -> float:
-        """Mean firing rate over ``window`` (hertz)."""
-        if window <= 0:
-            raise EncodingError(f"window must be positive, got {window!r}")
-        return self.count / window
-
-    def active_time(self) -> float:
-        """Total non-zero-voltage driver time (seconds).
-
-        Rate-coding power scales with this quantity — the key contrast
-        with the single-spiking format, where it is one ``width`` per
-        datum regardless of value.
-        """
-        return self.count * self.width
-
-    def counts_in_bins(self, edges: np.ndarray) -> np.ndarray:
-        """Histogram of spikes into time bins delimited by ``edges``."""
-        return np.histogram(np.asarray(self.times, dtype=float), bins=edges)[0]

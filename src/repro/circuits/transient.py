@@ -44,7 +44,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import CircuitError
-from .components import GROUND
 from .rc import thevenin
 from .waveform import Waveform
 
@@ -59,6 +58,8 @@ __all__ = [
     "TransientEngine",
     "TransientResult",
 ]
+
+GROUND = "gnd"  # the reference node; every voltage is measured from it
 
 _LOGIC_THRESHOLD = 0.5
 

@@ -34,7 +34,7 @@ import math
 from .errors import ConfigurationError
 from .units import FEMTO, KILO, MEGA, MILLI, NANO, si_format
 
-__all__ = ["CircuitParameters", "default_parameters"]
+__all__ = ["CircuitParameters"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -254,14 +254,3 @@ class CircuitParameters:
             f"MVM latency   = {si_format(self.mvm_latency, 's')}",
         ]
         return "\n".join(lines)
-
-
-def default_parameters() -> CircuitParameters:
-    """The default operating point used across examples and benchmarks.
-
-    This is the *calibrated* variant (see :meth:`CircuitParameters.calibrated`)
-    because it realises the linear regime the paper's analysis assumes; the
-    paper-literal point remains available via
-    :meth:`CircuitParameters.paper`.
-    """
-    return CircuitParameters.calibrated()

@@ -12,7 +12,8 @@
   Fig. 2, netlisted on the transient engine (regenerates Fig. 3).
 * :mod:`repro.core.engine` — a full crossbar-scale ReSiPE engine.
 * :mod:`repro.core.pipeline` — two-slice multi-layer pipelining.
-* :mod:`repro.core.nonlinearity` — regime analysis and compensation.
+* :mod:`repro.core.nonlinearity` — closed-form transfers and saturation
+  compensation.
 * :mod:`repro.core.power` — ReSiPE power/latency/area model.
 """
 
@@ -26,9 +27,6 @@ from .pipeline import PipelineSchedule, LayerTask, schedule_pipeline
 from .nonlinearity import (
     linear_mac_output,
     exact_mac_output,
-    transfer_error,
-    NonlinearityReport,
-    analyse_nonlinearity,
 )
 from .power import ReSiPEPowerModel
 from .timing_noise import (
@@ -53,9 +51,6 @@ __all__ = [
     "schedule_pipeline",
     "linear_mac_output",
     "exact_mac_output",
-    "transfer_error",
-    "NonlinearityReport",
-    "analyse_nonlinearity",
     "ReSiPEPowerModel",
     "TimingNoiseReport",
     "analyse_timing_noise",

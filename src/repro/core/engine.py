@@ -109,8 +109,8 @@ class ReSiPEEngine:
     ) -> "ReSiPEEngine":
         """A clone whose conductances are disturbed by ``injector`` (a
         :class:`~repro.faults.injectors.FaultInjector` — variation,
-        stuck-at, drift, wear, or any composition).  The original
-        engine is untouched."""
+        stuck-at, drift, or any composition).  The original engine is
+        untouched."""
         return self.with_array(self.array.injected(injector, rng))
 
     def with_array(self, array: CrossbarArray) -> "ReSiPEEngine":

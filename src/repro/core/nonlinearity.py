@@ -11,14 +11,13 @@ Two effects pull the exact transfer away from the ideal Eq. 6 line:
    the *sum* toward the *weighted mean*; the paper bounds operation at
    ``Σ G ≤ 1.6 mS``.
 
-This module provides the closed-form transfers, error metrics, the
-regime report used by the Fig. 5 harness, and a saturation-compensation
-decoder (an extension the paper's conclusion hints at).
+This module provides the closed-form transfers used by the Fig. 5
+harness and a saturation-compensation decoder (an extension the paper's
+conclusion hints at).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Union
 
 import numpy as np
@@ -31,10 +30,7 @@ ArrayLike = Union[float, np.ndarray]
 __all__ = [
     "linear_mac_output",
     "exact_mac_output",
-    "transfer_error",
     "compensate_column_saturation",
-    "NonlinearityReport",
-    "analyse_nonlinearity",
 ]
 
 
@@ -83,21 +79,6 @@ def exact_mac_output(
     return out if np.ndim(times) > 1 else float(out[0])
 
 
-def transfer_error(
-    times: ArrayLike, conductances: ArrayLike, params: CircuitParameters
-) -> ArrayLike:
-    """Relative deviation ``(t_linear - t_exact) / t_linear``.
-
-    Positive values mean the exact output falls *below* the ideal line —
-    the behaviour of the light-blue high-G points in Fig. 5.
-    """
-    lin = np.asarray(linear_mac_output(times, conductances, params), dtype=float)
-    exact = np.asarray(exact_mac_output(times, conductances, params), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        err = np.where(lin > 0, (lin - exact) / lin, 0.0)
-    return err if np.ndim(times) > 1 else float(err)
-
-
 def compensate_column_saturation(
     t_out: ArrayLike, total_g: ArrayLike, params: CircuitParameters
 ) -> ArrayLike:
@@ -125,60 +106,3 @@ def compensate_column_saturation(
     v_eq = v_out / (1.0 - np.exp(-depth))
     t_lin = (params.dt / params.c_cog) * (params.tau_gd / params.v_s) * v_eq * g
     return t_lin if np.ndim(t_lin) else float(t_lin)
-
-
-@dataclasses.dataclass(frozen=True)
-class NonlinearityReport:
-    """Summary of the operating regime of one column configuration.
-
-    Attributes
-    ----------
-    total_g:
-        Column total conductance analysed (siemens).
-    saturation_depth:
-        ``Δt / (R_eq C_cog)`` — time constants spanned by the
-        computation stage.
-    linear:
-        Whether the configuration is inside the paper's linear regime
-        (``Σ G ≤ g_column_linear_limit``).
-    max_relative_error:
-        Worst ``(t_lin - t_exact)/t_lin`` over the sampled input grid.
-    mean_relative_error:
-        Mean of the same quantity.
-    """
-
-    total_g: float
-    saturation_depth: float
-    linear: bool
-    max_relative_error: float
-    mean_relative_error: float
-
-
-def analyse_nonlinearity(
-    params: CircuitParameters,
-    total_g: float,
-    cells: int = 32,
-    grid: int = 24,
-) -> NonlinearityReport:
-    """Characterise one column's deviation from the ideal transfer.
-
-    A ``cells``-input column with uniform per-cell conductance
-    ``total_g / cells`` is swept over a grid of common input times in
-    ``[t_in_min, t_in_max]``.
-    """
-    if total_g <= 0:
-        raise CircuitError("total conductance must be positive")
-    if cells < 1 or grid < 2:
-        raise CircuitError("need cells >= 1 and grid >= 2")
-    g = np.full(cells, total_g / cells)
-    t_grid = np.linspace(params.t_in_min, params.t_in_max, grid)
-    times = np.repeat(t_grid[:, None], cells, axis=1)
-    err = np.asarray(transfer_error(times, g, params), dtype=float)
-    depth = params.saturation_depth(total_g)
-    return NonlinearityReport(
-        total_g=total_g,
-        saturation_depth=depth,
-        linear=total_g <= params.g_column_linear_limit,
-        max_relative_error=float(err.max()),
-        mean_relative_error=float(err.mean()),
-    )

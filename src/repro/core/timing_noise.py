@@ -10,8 +10,7 @@ ramp, so every voltage-domain non-ideality becomes a *timing* error:
   in time.
 
 This module provides the closed-form error propagation, the effective
-resolution ("how many ADC bits is a ReSiPE column worth?"), and a
-Monte-Carlo validator built on the behavioral comparator model.  It
+resolution ("how many ADC bits is a ReSiPE column worth?").  It
 substantiates the Table I positioning of ReSiPE against ADC-based
 designs with numbers instead of adjectives.
 """
@@ -24,10 +23,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..circuits.comparator import ComparatorModel
 from ..config import CircuitParameters
 from ..errors import CircuitError
-from .cog import ColumnOutputGenerator
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -38,7 +35,6 @@ __all__ = [
     "effective_bits",
     "TimingNoiseReport",
     "analyse_timing_noise",
-    "monte_carlo_timing_noise",
 ]
 
 
@@ -152,28 +148,3 @@ def analyse_timing_noise(
         worst_value_noise=late / full_scale,
         effective_bits=effective_bits(params, sigma_v, sigma_delay, sigma_clock),
     )
-
-
-def monte_carlo_timing_noise(
-    params: CircuitParameters,
-    v_out: float,
-    sigma_v: float,
-    trials: int,
-    rng: np.random.Generator,
-) -> float:
-    """Empirical output-time std from randomised comparator offsets.
-
-    Validates the closed-form ``σ_v / slope`` propagation: each trial
-    draws a comparator offset ~ N(0, σ_v) and converts the same held
-    voltage through the exact COG.
-    """
-    if trials < 2:
-        raise CircuitError("need at least 2 trials")
-    if not 0 <= v_out < params.v_s:
-        raise CircuitError("held voltage must lie in [0, V_s)")
-    times = np.empty(trials)
-    for k in range(trials):
-        comparator = ComparatorModel(offset_sigma=sigma_v).randomised(rng)
-        cog = ColumnOutputGenerator(params, comparator=comparator)
-        times[k] = cog.times_from_voltages(v_out).times[0]
-    return float(times.std(ddof=1))

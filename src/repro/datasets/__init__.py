@@ -19,9 +19,6 @@ from .loaders import (
     Dataset,
     train_test_split,
     batches,
-    one_hot,
-    save_dataset,
-    load_dataset,
 )
 
 __all__ = [
@@ -32,7 +29,4 @@ __all__ = [
     "Dataset",
     "train_test_split",
     "batches",
-    "one_hot",
-    "save_dataset",
-    "load_dataset",
 ]

@@ -1,24 +1,19 @@
-"""Dataset container, splitting, batching and (atomic) persistence."""
+"""Dataset container, splitting and batching."""
 
 from __future__ import annotations
 
 import dataclasses
 import numbers
-import zipfile
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ArtifactError, ConfigurationError, ShapeError
-from ..store.atomic import atomic_write_npz
+from ..errors import ConfigurationError, ShapeError
 
 __all__ = [
     "Dataset",
     "train_test_split",
     "batches",
-    "one_hot",
-    "save_dataset",
-    "load_dataset",
 ]
 
 
@@ -93,40 +88,6 @@ def batches(
         yield data.images[idx], data.labels[idx]
 
 
-def save_dataset(data: Dataset, path: str) -> None:
-    """Persist a dataset as an ``.npz`` archive, atomically.
-
-    Goes through the artifact-store writer (temp file +
-    ``os.replace``), so an interrupted export never leaves a truncated
-    archive behind.
-    """
-    atomic_write_npz(path, {
-        "images": data.images,
-        "labels": data.labels,
-        "num_classes": np.asarray(data.num_classes),
-        "name": np.asarray(data.name),
-    })
-
-
-def load_dataset(path: str) -> Dataset:
-    """Load a dataset saved by :func:`save_dataset`.
-
-    Raises :class:`~repro.errors.ArtifactError` when the archive is
-    missing, truncated, or lacks the expected fields.
-    """
-    try:
-        with np.load(path, allow_pickle=False) as npz:
-            images = np.asarray(npz["images"])
-            labels = np.asarray(npz["labels"])
-            num_classes = int(npz["num_classes"])
-            name = str(npz["name"])
-    except (OSError, ValueError, KeyError, EOFError,
-            zipfile.BadZipFile) as exc:
-        raise ArtifactError(f"cannot read dataset from {path!r}: {exc}") from exc
-    return Dataset(images=images, labels=labels, num_classes=num_classes,
-                   name=name)
-
-
 def _require_int(name: str, value: object, minimum: int) -> int:
     """``value`` as an ``int`` if it is an integer ``>= minimum``, else
     :class:`~repro.errors.ConfigurationError` (``bool`` and integral
@@ -137,16 +98,3 @@ def _require_int(name: str, value: object, minimum: int) -> int:
             f"{name} must be an integer >= {minimum}, got {value!r}"
         )
     return int(value)
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """One-hot encode integer labels."""
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ShapeError(
-            f"labels out of range [0, {num_classes}): "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-    out = np.zeros((labels.shape[0], num_classes), dtype=float)
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out

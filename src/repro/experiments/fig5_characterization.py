@@ -26,7 +26,7 @@ import numpy as np
 
 from ..analysis.fitting import LinearFit, fit_linear
 from ..config import CircuitParameters
-from ..core.nonlinearity import exact_mac_output, linear_mac_output
+from ..core.nonlinearity import exact_mac_output
 from ..errors import ConfigurationError
 from ..units import MILLI, si_format
 

@@ -4,8 +4,8 @@ One subsystem for every way ReSiPE silicon goes wrong, and for what a
 deployed chip does about it:
 
 * :mod:`repro.faults.injectors` — the :class:`FaultInjector` protocol
-  unifying stuck-at defects, process variation, retention drift, and
-  endurance wear behind one composable ``apply(g, rng, spec)`` call
+  unifying stuck-at defects, process variation and retention drift
+  behind one composable ``apply(g, rng, spec)`` call
   (:class:`CompositeInjector` chains them).
 * :mod:`repro.faults.probe` — :class:`HealthProbe`, the single-spike
   analog of memory BIST: fire known calibration vectors through each
@@ -27,7 +27,6 @@ from .injectors import (
     FaultInjector,
     StuckAtInjector,
     VariationInjector,
-    WearInjector,
 )
 from .probe import HealthProbe, LayerProbeReport
 from .campaign import (
@@ -42,7 +41,6 @@ __all__ = [
     "StuckAtInjector",
     "VariationInjector",
     "DriftInjector",
-    "WearInjector",
     "CompositeInjector",
     "HealthProbe",
     "LayerProbeReport",

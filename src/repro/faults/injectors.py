@@ -3,8 +3,7 @@
 The device layer already models each defect mechanism in isolation
 (:class:`~repro.reram.variation.StuckAtFaultModel`,
 :class:`~repro.reram.variation.VariationModel`,
-:class:`~repro.reram.retention.RetentionModel`,
-:class:`~repro.reram.endurance.EnduranceModel`), but they are islands:
+:class:`~repro.reram.retention.RetentionModel`), but they are islands:
 each has its own entry point and only Gaussian variation is reachable
 from the mapped-network pipeline.  This module unifies them behind one
 :class:`FaultInjector` interface —
@@ -47,7 +46,6 @@ import numpy as np
 from ..errors import DeviceError
 from ..reram.device import DeviceSpec
 from ..units import TERA
-from ..reram.endurance import EnduranceModel
 from ..reram.retention import RetentionModel
 from ..reram.variation import StuckAtFaultModel, VariationModel
 
@@ -56,7 +54,6 @@ __all__ = [
     "StuckAtInjector",
     "VariationInjector",
     "DriftInjector",
-    "WearInjector",
     "CompositeInjector",
 ]
 
@@ -202,52 +199,12 @@ class DriftInjector(FaultInjector):
         return self.elapsed == 0 or self.model.nu == 0
 
 
-class WearInjector(FaultInjector):
-    """Endurance window closure after ``cycles`` programming cycles.
-
-    The conductances are clipped into the degraded window — the
-    write-verify loop can no longer reach the original extremes.
-    """
-
-    elementwise = True
-
-    def __init__(
-        self,
-        cycles: float,
-        endurance_cycles: float = 1e7,
-        beta: float = 1.5,
-    ) -> None:
-        if cycles < 0:
-            raise DeviceError(f"cycles must be >= 0, got {cycles!r}")
-        self.cycles = float(cycles)
-        self.model = EnduranceModel(
-            endurance_cycles=endurance_cycles, beta=beta
-        )
-
-    def apply(self, conductances, rng, spec=None):
-        g = np.asarray(conductances, dtype=float)
-        window = spec if spec is not None else _UNIT_WINDOW
-        degraded = self.model.degraded_spec(window, self.cycles)
-        return np.clip(g, degraded.g_min, degraded.g_max)
-
-    def describe(self) -> dict:
-        return {
-            "type": "wear",
-            "cycles": self.cycles,
-            "endurance_cycles": self.model.endurance_cycles,
-            "beta": self.model.beta,
-        }
-
-    @property
-    def is_null(self) -> bool:
-        return self.cycles == 0
-
-
 class CompositeInjector(FaultInjector):
     """Sequential composition: each stage disturbs the previous output.
 
-    Order matters physically — e.g. wear narrows the window, then
-    variation scatters within it, then stuck-at defects pin cells.
+    Order matters physically — e.g. drift relaxes the programmed
+    conductances, then variation scatters them, then stuck-at defects
+    pin cells.
     """
 
     def __init__(self, *stages: FaultInjector) -> None:

@@ -7,9 +7,8 @@ Bridges the trained numpy networks and the PIM hardware models:
   subtraction), bias folding, scale bookkeeping.
 * :mod:`repro.mapping.tiling` — matrices larger than one crossbar are
   split into tiles; row-tile partials sum, column tiles concatenate.
-* :mod:`repro.mapping.backends` — pluggable hardware backends: ideal,
-  ReSiPE (exact circuit equations, Monte-Carlo process variation), or
-  any Table II baseline design.
+* :mod:`repro.mapping.backends` — pluggable hardware backends: ideal
+  or ReSiPE (exact circuit equations, Monte-Carlo process variation).
 * :mod:`repro.mapping.compiler` — compiles a Sequential model into
   programmed tiles.
 * :mod:`repro.mapping.executor` — runs inference through the mapped
@@ -29,7 +28,6 @@ from .backends import (
     ProgrammedTile,
     IdealBackend,
     ReSiPEBackend,
-    DesignBackend,
     stack_tiles,
 )
 from .compiler import MappedLayer, MappedNetwork, compile_network
@@ -54,7 +52,6 @@ __all__ = [
     "ProgrammedTile",
     "IdealBackend",
     "ReSiPEBackend",
-    "DesignBackend",
     "stack_tiles",
     "MappedLayer",
     "MappedNetwork",

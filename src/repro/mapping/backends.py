@@ -3,7 +3,7 @@
 A backend programs weight tiles in ``[0, 1]`` and returns
 :class:`ProgrammedTile` objects that compute ``x @ w`` through the
 hardware's signal chain.  Every Monte-Carlo clone — process variation
-(the Fig. 7 protocol), stuck-at faults, drift, wear — is drawn by one
+(the Fig. 7 protocol), stuck-at faults, drift — is drawn by one
 routine, :func:`faulted_tiles`, from a
 :class:`~repro.faults.injectors.FaultInjector`.
 
@@ -12,8 +12,6 @@ Backends provided:
 * :class:`IdealBackend` — exact numpy matmul (the software reference).
 * :class:`ReSiPEBackend` — the single-spiking engine with exact circuit
   equations; supports variation and saturation compensation.
-* :class:`DesignBackend` — any Table II :class:`~repro.baselines.base.PIMDesign`
-  functional model (quantisation effects only; variation is a no-op).
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from typing import List, Optional, Sequence, Tuple, cast
 
 import numpy as np
 
-from ..baselines.base import PIMDesign
 from ..config import CircuitParameters
 from ..core.engine import ReSiPEEngine
 from ..core.mvm import MVMMode
@@ -32,7 +29,7 @@ from ..errors import MappingError, ShapeError
 from ..reram.device import DeviceSpec
 
 __all__ = ["HardwareBackend", "ProgrammedTile", "IdealBackend",
-           "ReSiPEBackend", "DesignBackend", "stack_tiles",
+           "ReSiPEBackend", "stack_tiles",
            "ConductancePool", "faulted_tiles"]
 
 
@@ -49,7 +46,7 @@ class ProgrammedTile(abc.ABC):
     ) -> "ProgrammedTile":
         """A clone disturbed by a
         :class:`~repro.faults.injectors.FaultInjector` (variation,
-        stuck-at, drift, wear, or any composition)."""
+        stuck-at, drift, or any composition)."""
 
     def column(self, index: int) -> "Optional[ProgrammedTile]":
         """The width-1 tile programmed like column ``index`` of this
@@ -281,54 +278,12 @@ class ReSiPEBackend(HardwareBackend):
 
 
 # ----------------------------------------------------------------------
-# Baseline-design backend
-# ----------------------------------------------------------------------
-class _DesignTile(ProgrammedTile):
-    def __init__(self, design: PIMDesign, weights: np.ndarray) -> None:
-        self._design = design
-        self._w = np.asarray(weights, dtype=float)
-
-    def matmul(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self._design.mvm_values(x, self._w), dtype=float)
-
-    def faulted(self, injector, rng: np.random.Generator) -> "_DesignTile":
-        # Baseline functional models capture quantisation, not device
-        # placement; variation and fault studies target ReSiPE (Fig. 7).
-        return self
-
-
-class DesignBackend(HardwareBackend):
-    """Run tiles through a Table II baseline's functional model.
-
-    The design factory is called per tile shape so each tile gets a
-    correctly-sized design instance.
-    """
-
-    def __init__(self, design_factory, max_rows: int = 32, max_cols: int = 32) -> None:
-        if max_rows < 1 or max_cols < 1:
-            raise MappingError("tile dimensions must be >= 1")
-        self._factory = design_factory
-        self._shape = (max_rows, max_cols)
-
-    @property
-    def max_tile_shape(self) -> tuple:
-        return self._shape
-
-    def program(self, weights01: np.ndarray) -> ProgrammedTile:
-        w = np.asarray(weights01, dtype=float)
-        design = self._factory(w.shape[0], w.shape[1])
-        if not isinstance(design, PIMDesign):
-            raise MappingError("design_factory must return a PIMDesign")
-        return _DesignTile(design, w)
-
-
-# ----------------------------------------------------------------------
 # Trial stacks (the Monte-Carlo fast path)
 # ----------------------------------------------------------------------
 class _TrialLoopTile(ProgrammedTile):
-    """A trial stack of tiles without a broadcast kernel (baseline
-    functional models, bit-sliced tiles): one lone matmul per trial,
-    with the trial-stack calling convention of :func:`stack_tiles`."""
+    """A trial stack of tiles without a broadcast kernel (bit-sliced
+    tiles): one lone matmul per trial, with the trial-stack calling
+    convention of :func:`stack_tiles`."""
 
     def __init__(self, tiles: list) -> None:
         self._tiles = tiles
@@ -475,7 +430,7 @@ def faulted_tiles(
     :class:`ConductancePool` (``pool``, or one built from ``tiles``),
     the clones are lazy views of one realization ``cells``
     (:meth:`ConductancePool.draw`) and ``drawn`` is ``(pool, cells)``.
-    Tiles without a pool (ideal, design, bit-sliced) take their own
+    Tiles without a pool (ideal, bit-sliced) take their own
     :meth:`ProgrammedTile.faulted` in order and ``drawn`` is ``None``.
     A null injector draws nothing and returns the pristine tiles.
     """

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import MappingError
 from ..nn.conv import Conv2D
-from ..nn.layers import Dense, Layer
+from ..nn.layers import Dense
 from ..nn.model import Sequential
 from .backends import ConductancePool, HardwareBackend, ProgrammedTile, faulted_tiles
 from .tiling import TileGrid, tile_matrix
@@ -162,7 +162,7 @@ class MappedNetwork:
     def faulted(self, injector, rng: np.random.Generator) -> "MappedNetwork":
         """A clone of every mapped layer disturbed by ``injector`` (a
         :class:`~repro.faults.injectors.FaultInjector`: variation,
-        stuck-at, drift, wear, or any composition).
+        stuck-at, drift, or any composition).
 
         Every tile is drawn by
         :func:`~repro.mapping.backends.faulted_tiles` in draw order:

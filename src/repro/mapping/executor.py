@@ -312,7 +312,7 @@ class PIMExecutor:
 
     def faulted(self, injector, rng: np.random.Generator) -> "PIMExecutor":
         """Clone whose tiles carry ``injector``'s disturbance
-        (variation, stuck-at cells, drift, wear, or any
+        (variation, stuck-at cells, drift, or any
         :class:`~repro.faults.injectors.CompositeInjector` of them; see
         :meth:`MappedNetwork.faulted`).
 

@@ -8,21 +8,18 @@ and hand their weights to the mapping compiler:
 * :mod:`repro.nn.layers` — Dense, ReLU, Flatten, Dropout.
 * :mod:`repro.nn.conv` — Conv2D (im2col), MaxPool2D, AvgPool2D.
 * :mod:`repro.nn.model` — the Sequential container.
-* :mod:`repro.nn.losses` — cross-entropy (+softmax), MSE.
-* :mod:`repro.nn.optim` — SGD with momentum, Adam.
+* :mod:`repro.nn.losses` — cross-entropy (+softmax).
+* :mod:`repro.nn.optim` — Adam.
 * :mod:`repro.nn.train` — the training loop with metrics.
 * :mod:`repro.nn.init` — weight initialisers.
-* :mod:`repro.nn.quantize` — normalisation helpers used by the
-  weight-to-conductance mapping.
 """
 
 from .layers import Dense, Dropout, Flatten, Layer, Parameter, ReLU
 from .conv import AvgPool2D, Conv2D, MaxPool2D
 from .model import Sequential
-from .losses import CrossEntropyLoss, MSELoss
-from .optim import SGD, Adam
+from .losses import CrossEntropyLoss
+from .optim import Adam
 from .train import Trainer, TrainingHistory, evaluate_accuracy
-from .quantize import quantize_uniform, per_layer_scales
 
 __all__ = [
     "Layer",
@@ -36,12 +33,8 @@ __all__ = [
     "AvgPool2D",
     "Sequential",
     "CrossEntropyLoss",
-    "MSELoss",
-    "SGD",
     "Adam",
     "Trainer",
     "TrainingHistory",
     "evaluate_accuracy",
-    "quantize_uniform",
-    "per_layer_scales",
 ]

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 
-__all__ = ["he_normal", "glorot_uniform", "zeros"]
+__all__ = ["he_normal", "zeros"]
 
 
 def he_normal(shape: Tuple[int, ...], fan_in: int, rng: np.random.Generator) -> np.ndarray:
@@ -16,16 +16,6 @@ def he_normal(shape: Tuple[int, ...], fan_in: int, rng: np.random.Generator) -> 
     if fan_in <= 0:
         raise ConfigurationError(f"fan_in must be positive, got {fan_in!r}")
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-
-
-def glorot_uniform(
-    shape: Tuple[int, ...], fan_in: int, fan_out: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Glorot (Xavier) uniform initialisation."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ConfigurationError("fan_in and fan_out must be positive")
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
 
 
 def zeros(shape: Tuple[int, ...]) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import ShapeError, TrainingError
 
-__all__ = ["CrossEntropyLoss", "MSELoss", "softmax"]
+__all__ = ["CrossEntropyLoss", "softmax"]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -43,21 +43,3 @@ class CrossEntropyLoss:
         grad = probs
         grad[np.arange(n), labels] -= 1.0
         return loss, grad / n
-
-
-class MSELoss:
-    """Mean squared error against dense targets."""
-
-    def __call__(
-        self, outputs: np.ndarray, targets: np.ndarray
-    ) -> Tuple[float, np.ndarray]:
-        """Return ``(mean_loss, dL/doutputs)``."""
-        outputs = np.asarray(outputs, dtype=float)
-        targets = np.asarray(targets, dtype=float)
-        if outputs.shape != targets.shape:
-            raise ShapeError(
-                f"outputs {outputs.shape} and targets {targets.shape} differ"
-            )
-        diff = outputs - targets
-        loss = float((diff**2).mean())
-        return loss, 2.0 * diff / diff.size

@@ -1,4 +1,4 @@
-"""Optimisers: SGD with momentum, Adam."""
+"""The Adam optimiser."""
 
 from __future__ import annotations
 
@@ -9,62 +9,7 @@ import numpy as np
 from ..errors import TrainingError
 from .layers import Parameter
 
-__all__ = ["SGD", "Adam"]
-
-
-class SGD:
-    """Stochastic gradient descent with classical momentum.
-
-    Parameters
-    ----------
-    params:
-        Parameters to update.
-    lr:
-        Learning rate.
-    momentum:
-        Momentum coefficient (0 disables).
-    weight_decay:
-        L2 penalty coefficient applied as decoupled decay.
-    """
-
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.9,
-        weight_decay: float = 0.0,
-    ) -> None:
-        if lr <= 0:
-            raise TrainingError(f"learning rate must be positive, got {lr!r}")
-        if not 0 <= momentum < 1:
-            raise TrainingError(f"momentum must be in [0, 1), got {momentum!r}")
-        if weight_decay < 0:
-            raise TrainingError("weight decay must be >= 0")
-        self.params = list(params)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def zero_grad(self) -> None:
-        """Reset all parameter gradients."""
-        for p in self.params:
-            p.zero_grad()
-
-    def step(self) -> None:
-        """Apply one update from accumulated gradients."""
-        for p in self.params:
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.value
-            if self.momentum:
-                v = self._velocity.get(id(p))
-                if v is None:
-                    v = np.zeros_like(p.value)
-                v = self.momentum * v + g
-                self._velocity[id(p)] = v
-                g = v
-            p.value -= self.lr * g
+__all__ = ["Adam"]
 
 
 class Adam:

@@ -7,34 +7,26 @@ Models the storage/compute fabric the paper builds on:
   50 kΩ–1 MΩ for linear operation).
 * :mod:`repro.reram.variation` — process-variation and fault models
   (normal-distributed conductance variation per refs [21, 22]).
-* :mod:`repro.reram.cell` — the 1T1R cell (access transistor + device).
 * :mod:`repro.reram.crossbar` — the crossbar array: programming, reads,
   ideal analog MVM, column conductance accounting.
 * :mod:`repro.reram.nonideal` — wire-parasitic (IR-drop) crossbar model
   solved with modified nodal analysis.
-* :mod:`repro.reram.programming` — write-verify programming loop.
+* :mod:`repro.reram.retention` — conductance drift with time since
+  programming.
 """
 
-from .device import DeviceSpec, ReRAMDevice
+from .device import DeviceSpec
 from .variation import VariationModel, StuckAtFaultModel
-from .cell import OneTransistorOneReRAM
 from .crossbar import CrossbarArray
 from .nonideal import WireParasitics, IRDropSolver
-from .programming import WriteVerifyProgrammer, ProgrammingReport
 from .retention import RetentionModel
-from .endurance import EnduranceModel
 
 __all__ = [
     "DeviceSpec",
-    "ReRAMDevice",
     "VariationModel",
     "StuckAtFaultModel",
-    "OneTransistorOneReRAM",
     "CrossbarArray",
     "WireParasitics",
     "IRDropSolver",
-    "WriteVerifyProgrammer",
-    "ProgrammingReport",
     "RetentionModel",
-    "EnduranceModel",
 ]

@@ -114,9 +114,9 @@ class CrossbarArray:
         """A *copy* of this array disturbed by a
         :class:`~repro.faults.injectors.FaultInjector` (any object with
         ``apply(g, rng, spec)``): process variation, stuck-at cells,
-        retention drift, endurance wear, or any composition.  The
-        original stays pristine, so one programming can be evaluated
-        under many Monte-Carlo draws (the Fig. 7 protocol).
+        retention drift, or any composition.  The original stays
+        pristine, so one programming can be evaluated under many
+        Monte-Carlo draws (the Fig. 7 protocol).
         """
         g = np.asarray(injector.apply(self._g, rng, spec=self.spec),
                        dtype=float)

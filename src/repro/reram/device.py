@@ -23,7 +23,7 @@ from ..units import KILO, MEGA
 
 ArrayLike = Union[float, np.ndarray]
 
-__all__ = ["DeviceSpec", "ReRAMDevice"]
+__all__ = ["DeviceSpec"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,58 +136,3 @@ class DeviceSpec:
         out = (g - self.g_min) / self.g_range
         return out if np.ndim(out) else float(out)
 
-
-class ReRAMDevice:
-    """A single programmable ReRAM device instance.
-
-    Tracks its programmed conductance and cumulative write count (for
-    endurance accounting).  Array-scale simulation uses
-    :class:`~repro.reram.crossbar.CrossbarArray` (vectorised) instead of
-    per-device objects; this class exists for unit-level modelling and
-    the programming loop.
-    """
-
-    def __init__(self, spec: DeviceSpec, initial_g: Optional[float] = None) -> None:
-        self.spec = spec
-        if initial_g is None:
-            initial_g = spec.g_min
-        if not spec.contains(initial_g):
-            raise DeviceError(
-                f"initial conductance {initial_g!r} outside window "
-                f"[{spec.g_min!r}, {spec.g_max!r}]"
-            )
-        self._g = float(initial_g)
-        self._writes = 0
-
-    @property
-    def conductance(self) -> float:
-        """Current programmed conductance (siemens)."""
-        return self._g
-
-    @property
-    def resistance(self) -> float:
-        """Current resistance (ohms)."""
-        return 1.0 / self._g
-
-    @property
-    def write_count(self) -> int:
-        """Number of programming pulses applied so far."""
-        return self._writes
-
-    def program(self, g_target: float) -> None:
-        """Program to ``g_target`` (clipped and quantised to the window)."""
-        self._g = float(self.spec.quantise(g_target))
-        self._writes += 1
-
-    def nudge(self, delta_g: float) -> None:
-        """Incremental SET/RESET step (used by write-verify loops)."""
-        self._g = float(self.spec.clip(self._g + delta_g))
-        self._writes += 1
-
-    def read_current(self, voltage: float) -> float:
-        """Ohmic read current at ``voltage`` (amps)."""
-        return voltage * self._g
-
-    def write_energy(self) -> float:
-        """Energy of one programming pulse, ``V² G t`` (joules)."""
-        return self.spec.write_voltage**2 * self._g * self.spec.write_pulse

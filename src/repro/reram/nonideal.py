@@ -4,8 +4,9 @@ The ideal array assumes every cell sees the full wordline voltage and a
 perfectly grounded bitline.  In a real crossbar the metal lines have
 per-segment resistance, so cells far from the drivers see degraded
 voltages — the classic IR-drop accuracy loss.  This module builds the
-full resistive network (one node per cell per line) and solves it with
-the MNA engine, providing the substrate for the IR-drop ablation bench.
+full resistive network (one node per cell per line) and solves it by
+modified nodal analysis, providing the substrate for the IR-drop
+ablation bench.
 
 Topology (for an R×C array):
 
@@ -24,12 +25,13 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..circuits.mna import _SPARSE_THRESHOLD
 from ..errors import CircuitError, DeviceError, ShapeError
 from ..units import GIGA, NANO
 from .crossbar import CrossbarArray
 
 __all__ = ["WireParasitics", "IRDropSolver", "ParasiticThevenin"]
+
+_SPARSE_THRESHOLD = 600  # unknowns beyond which the LU is sparse
 
 
 @dataclasses.dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import Iterator, Optional
 
 __all__ = [
     "TraceContext", "TraceIdAllocator", "derive_trace_seed",
-    "current", "current_trace_id", "attach", "detach", "trace_scope",
+    "current", "current_trace_id", "trace_scope",
 ]
 
 
@@ -90,16 +90,6 @@ def current() -> Optional[TraceContext]:
 def current_trace_id() -> Optional[str]:
     ctx = _CURRENT.get()
     return ctx.trace_id if ctx is not None else None
-
-
-def attach(ctx: TraceContext) -> contextvars.Token:
-    """Install ``ctx`` as the ambient trace; pass the token to
-    :func:`detach` to restore the previous one."""
-    return _CURRENT.set(ctx)
-
-
-def detach(token: contextvars.Token) -> None:
-    _CURRENT.reset(token)
 
 
 @contextlib.contextmanager

@@ -93,18 +93,6 @@ def si_format(value: float, unit: str = "", digits: int = 3) -> str:
     return f"{value:.{digits}g} {unit}".rstrip()
 
 
-def db(ratio: float) -> float:
-    """Convert a power ratio to decibels."""
-    if ratio <= 0:
-        raise ConfigurationError(f"dB undefined for non-positive ratio {ratio!r}")
-    return 10.0 * math.log10(ratio)
-
-
-def from_db(decibels: float) -> float:
-    """Convert decibels back to a power ratio."""
-    return 10.0 ** (decibels / 10.0)
-
-
 def parallel(*resistances: float) -> float:
     """Equivalent resistance of resistors in parallel.
 

@@ -1,18 +1,9 @@
-"""Fitting, metrics and table utilities."""
+"""Fitting and table utilities."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    accuracy_score,
-    fit_linear,
-    fit_polynomial,
-    max_relative_error,
-    mean_relative_error,
-    r_squared,
-    render_table,
-    rmse,
-)
+from repro.analysis import fit_linear, r_squared, render_table
 from repro.errors import ConfigurationError, ShapeError
 
 
@@ -44,11 +35,6 @@ class TestFitting:
         y = np.ones(5)
         assert r_squared(y, y) == pytest.approx(1.0)
 
-    def test_polynomial(self):
-        x = np.linspace(-1, 1, 30)
-        coeffs = fit_polynomial(x, 2 * x**2 + 1, degree=2)
-        assert coeffs[0] == pytest.approx(2.0, abs=1e-8)
-
     def test_validation(self):
         with pytest.raises(ShapeError):
             fit_linear(np.zeros(1), np.zeros(1))
@@ -56,28 +42,6 @@ class TestFitting:
             fit_linear(np.zeros(3), np.zeros(4))
         with pytest.raises(ShapeError):
             fit_linear(np.zeros(3), np.zeros(3), through_origin=True)
-        with pytest.raises(ShapeError):
-            fit_polynomial(np.arange(3.0), np.arange(3.0), degree=5)
-
-
-class TestMetrics:
-    def test_accuracy(self):
-        assert accuracy_score(np.array([1, 2, 3]), np.array([1, 0, 3])) == pytest.approx(2 / 3)
-
-    def test_rmse(self):
-        assert rmse(np.array([1.0, 3.0]), np.array([0.0, 3.0])) == pytest.approx(
-            np.sqrt(0.5)
-        )
-
-    def test_relative_errors(self):
-        actual = np.array([1.1, 2.0])
-        ref = np.array([1.0, 2.0])
-        assert mean_relative_error(actual, ref) == pytest.approx(0.05)
-        assert max_relative_error(actual, ref) == pytest.approx(0.1)
-
-    def test_shape_checked(self):
-        with pytest.raises(ShapeError):
-            rmse(np.zeros(2), np.zeros(3))
 
 
 class TestRenderTable:

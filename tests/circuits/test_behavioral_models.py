@@ -1,12 +1,13 @@
-"""Behavioral S/H and comparator models, element datatypes."""
+"""Behavioral S/H and comparator models, and the DC oracle's element
+datatypes."""
 
 import numpy as np
 import pytest
 
 from repro.circuits.comparator import ComparatorModel
-from repro.circuits.components import Capacitor, CurrentSource, Resistor, VoltageSource
 from repro.circuits.sample_hold import SampleHoldModel
 from repro.errors import CircuitError
+from tests.circuits.dc_circuit import CurrentSource, Resistor, VoltageSource
 
 
 class TestSampleHoldModel:
@@ -83,11 +84,6 @@ class TestElementDatatypes:
             Resistor("a", "b", -1.0)
         with pytest.raises(CircuitError):
             Resistor("a", "a", 1e3)
-
-    def test_capacitor_validation(self):
-        assert Capacitor("n", 1e-12).initial_voltage == pytest.approx(0.0)
-        with pytest.raises(CircuitError):
-            Capacitor("n", 0.0)
 
     def test_source_validation(self):
         with pytest.raises(CircuitError):

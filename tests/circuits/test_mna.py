@@ -1,10 +1,10 @@
-"""MNA DC solver."""
+"""The MNA DC solver that serves as the IR-drop test oracle."""
 
 import numpy as np
 import pytest
 
-from repro.circuits.mna import DCCircuit
 from repro.errors import CircuitError
+from tests.circuits.dc_circuit import DCCircuit
 
 
 class TestVoltageDivider:

@@ -1,15 +1,8 @@
 """Thermal-noise floors of the sampled datapath."""
 
-import math
-
 import pytest
 
-from repro.circuits.noise import (
-    ktc_noise_voltage,
-    minimum_capacitance_for_bits,
-    minimum_capacitance_for_snr,
-    sampled_noise_charge,
-)
+from repro.circuits.noise import ktc_noise_voltage, minimum_capacitance_for_bits
 from repro.errors import CircuitError
 
 
@@ -28,25 +21,14 @@ class TestKtcNoise:
             100e-15, temperature=300.0
         )
 
-    def test_noise_charge_consistent(self):
-        c = 100e-15
-        assert sampled_noise_charge(c) == pytest.approx(c * ktc_noise_voltage(c))
-
     def test_validation(self):
         with pytest.raises(CircuitError):
             ktc_noise_voltage(0.0)
         with pytest.raises(CircuitError):
             ktc_noise_voltage(1e-15, temperature=0.0)
-        with pytest.raises(CircuitError):
-            sampled_noise_charge(-1e-15)
 
 
 class TestCapacitorSizing:
-    def test_snr_sizing_round_trip(self):
-        c = minimum_capacitance_for_snr(full_scale=1.0, snr_db=50.0)
-        achieved_snr = 20 * math.log10(1.0 / ktc_noise_voltage(c))
-        assert achieved_snr == pytest.approx(50.0, abs=0.01)
-
     def test_bits_sizing_monotone(self):
         c8 = minimum_capacitance_for_bits(1.0, 8)
         c10 = minimum_capacitance_for_bits(1.0, 10)
@@ -65,7 +47,5 @@ class TestCapacitorSizing:
         assert minimum_capacitance_for_bits(1.0, 12) > 100e-15
 
     def test_validation(self):
-        with pytest.raises(CircuitError):
-            minimum_capacitance_for_snr(0.0, 50.0)
         with pytest.raises(CircuitError):
             minimum_capacitance_for_bits(1.0, 0.0)

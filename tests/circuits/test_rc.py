@@ -1,90 +1,9 @@
-"""Closed-form RC responses."""
+"""Thevenin reduction of the charging branches (Eq. 2)."""
 
-import math
-
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.circuits.rc import (
-    TheveninEquivalent,
-    rc_charge,
-    rc_discharge,
-    rc_time_to_reach,
-    rc_value,
-    thevenin,
-)
+from repro.circuits.rc import TheveninEquivalent, thevenin
 from repro.errors import CircuitError
-
-
-class TestRcValue:
-    def test_initial_condition(self):
-        assert rc_value(0.0, v0=0.3, v_inf=1.0, tau=1e-9) == pytest.approx(0.3)
-
-    def test_asymptote(self):
-        assert rc_value(1e-3, v0=0.0, v_inf=1.0, tau=1e-9) == pytest.approx(1.0)
-
-    def test_one_time_constant(self):
-        v = rc_value(1e-9, v0=0.0, v_inf=1.0, tau=1e-9)
-        assert v == pytest.approx(1 - math.exp(-1))
-
-    def test_vectorised(self):
-        t = np.array([0.0, 1e-9, 2e-9])
-        v = rc_value(t, 0.0, 1.0, 1e-9)
-        assert v.shape == (3,)
-        assert np.all(np.diff(v) > 0)
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(CircuitError):
-            rc_value(-1e-9, 0.0, 1.0, 1e-9)
-
-    def test_rejects_nonpositive_tau(self):
-        with pytest.raises(CircuitError):
-            rc_value(1e-9, 0.0, 1.0, 0.0)
-
-
-class TestChargeDischarge:
-    def test_charge_is_eq1_form(self):
-        # V = V_s (1 - e^{-t/tau}) — the paper's Eq. 1.
-        v = rc_charge(10e-9, v_target=1.0, tau=10e-9)
-        assert v == pytest.approx(1 - math.exp(-1))
-
-    def test_discharge_symmetric(self):
-        up = rc_charge(5e-9, 1.0, 7e-9)
-        down = rc_discharge(5e-9, 1.0, 7e-9)
-        assert up + down == pytest.approx(1.0)
-
-
-class TestTimeToReach:
-    def test_inverts_charge(self):
-        tau = 10e-9
-        v = rc_charge(23e-9, 1.0, tau)
-        t = rc_time_to_reach(v, v0=0.0, v_inf=1.0, tau=tau)
-        assert t == pytest.approx(23e-9, rel=1e-9)
-
-    def test_unreachable_target(self):
-        # Charging toward 1 V can never reach 2 V.
-        assert rc_time_to_reach(2.0, 0.0, 1.0, 1e-9) == math.inf
-
-    def test_moving_away(self):
-        # Discharging from 0.5 to 0 never reaches 0.8.
-        assert rc_time_to_reach(0.8, 0.5, 0.0, 1e-9) == math.inf
-
-    def test_already_there(self):
-        assert rc_time_to_reach(0.5, 0.5, 1.0, 1e-9) == pytest.approx(0.0)
-
-    @given(
-        frac=st.floats(min_value=0.01, max_value=0.99),
-        tau=st.floats(min_value=1e-12, max_value=1e-6),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_round_trip_property(self, frac, tau):
-        """time -> voltage -> time is the identity on a charging node."""
-        t = -tau * math.log(1 - frac)
-        v = rc_charge(t, 1.0, tau)
-        back = rc_time_to_reach(v, 0.0, 1.0, tau)
-        assert back == pytest.approx(t, rel=1e-6)
 
 
 class TestThevenin:

@@ -1,9 +1,8 @@
 """Spike signal types."""
 
-import numpy as np
 import pytest
 
-from repro.circuits.spike import NO_SPIKE, SingleSpike, SpikeTrain
+from repro.circuits.spike import NO_SPIKE, SingleSpike
 from repro.errors import EncodingError
 
 
@@ -41,51 +40,3 @@ class TestSingleSpike:
     def test_rejects_nonpositive_width(self):
         with pytest.raises(EncodingError):
             SingleSpike(time=1e-9, width=0.0)
-
-
-class TestSpikeTrain:
-    def test_uniform(self):
-        train = SpikeTrain.uniform(4, window=100e-9)
-        assert train.count == 4
-        assert train.times[0] == pytest.approx(0.0)
-        assert train.times[-1] == pytest.approx(75e-9)
-
-    def test_uniform_zero(self):
-        assert SpikeTrain.uniform(0, 100e-9).count == 0
-
-    def test_rate(self):
-        train = SpikeTrain.uniform(10, window=100e-9)
-        assert train.rate(100e-9) == pytest.approx(1e8)
-
-    def test_active_time_scales_with_count(self):
-        # The energy-coupling property the single-spike format removes.
-        short = SpikeTrain.uniform(2, 100e-9, width=1e-9)
-        long = SpikeTrain.uniform(20, 100e-9, width=1e-9)
-        assert long.active_time() == pytest.approx(10 * short.active_time())
-
-    def test_from_times(self):
-        train = SpikeTrain.from_times([1e-9, 5e-9, 9e-9])
-        assert train.count == 3
-
-    def test_counts_in_bins(self):
-        train = SpikeTrain.from_times([1e-9, 2e-9, 8e-9])
-        counts = train.counts_in_bins(np.array([0.0, 5e-9, 10e-9]))
-        assert list(counts) == [2, 1]
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(EncodingError):
-            SpikeTrain(times=(5e-9, 1e-9))
-
-    def test_rejects_negative_times(self):
-        with pytest.raises(EncodingError):
-            SpikeTrain(times=(-1e-9,))
-
-    def test_rejects_negative_count(self):
-        with pytest.raises(EncodingError):
-            SpikeTrain.uniform(-1, 1e-6)
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(EncodingError):
-            SpikeTrain.uniform(3, 0.0)
-        with pytest.raises(EncodingError):
-            SpikeTrain.uniform(3, 1e-6).rate(0.0)

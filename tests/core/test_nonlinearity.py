@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.nonlinearity import (
-    analyse_nonlinearity,
     compensate_column_saturation,
     exact_mac_output,
     linear_mac_output,
-    transfer_error,
 )
 from repro.errors import CircuitError, ShapeError
 
@@ -49,6 +47,12 @@ class TestTransfers:
             exact_mac_output(np.zeros(2), np.zeros(2), calibrated_params)
 
 
+def transfer_error(times, conductances, params):
+    """Relative droop ``(t_linear - t_exact) / t_linear`` of one column."""
+    lin = linear_mac_output(times, conductances, params)
+    return (lin - exact_mac_output(times, conductances, params)) / lin
+
+
 class TestTransferError:
     def test_grows_with_conductance(self, calibrated_params):
         t = np.full(32, 50e-9)
@@ -85,24 +89,3 @@ class TestCompensation:
     def test_rejects_bad_conductance(self, calibrated_params):
         with pytest.raises(CircuitError):
             compensate_column_saturation(10e-9, 0.0, calibrated_params)
-
-
-class TestAnalyse:
-    def test_linear_flag(self, calibrated_params):
-        low = analyse_nonlinearity(calibrated_params, 0.32e-3)
-        high = analyse_nonlinearity(calibrated_params, 3.2e-3)
-        assert low.linear
-        assert not high.linear
-        assert high.max_relative_error > low.max_relative_error
-
-    def test_depth_matches_params(self, calibrated_params):
-        report = analyse_nonlinearity(calibrated_params, 1.6e-3)
-        assert report.saturation_depth == pytest.approx(
-            calibrated_params.saturation_depth(1.6e-3)
-        )
-
-    def test_validation(self, calibrated_params):
-        with pytest.raises(CircuitError):
-            analyse_nonlinearity(calibrated_params, 0.0)
-        with pytest.raises(CircuitError):
-            analyse_nonlinearity(calibrated_params, 1e-3, cells=0)

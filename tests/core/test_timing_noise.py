@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.circuits.comparator import ComparatorModel
 from repro.config import CircuitParameters
+from repro.core.cog import ColumnOutputGenerator
 from repro.core.timing_noise import (
     TimingNoiseReport,
     analyse_timing_noise,
     effective_bits,
-    monte_carlo_timing_noise,
     ramp_slope,
     timing_noise_from_voltage_noise,
     total_timing_noise,
@@ -98,15 +99,11 @@ class TestMonteCarloAgreement:
         v_out = 0.05  # mid-range held voltage
         t_out = -p.tau_gd * np.log(1 - v_out / p.v_s)
         predicted = timing_noise_from_voltage_noise(sigma_v, t_out, p)
-        measured = monte_carlo_timing_noise(
-            p, v_out, sigma_v, trials=400, rng=np.random.default_rng(0)
-        )
-        assert measured == pytest.approx(predicted, rel=0.15)
-
-    def test_validation(self, calibrated_params):
-        with pytest.raises(CircuitError):
-            monte_carlo_timing_noise(calibrated_params, 0.1, 1e-3, 1,
-                                     np.random.default_rng(0))
-        with pytest.raises(CircuitError):
-            monte_carlo_timing_noise(calibrated_params, 2.0, 1e-3, 10,
-                                     np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        times = [
+            ColumnOutputGenerator(
+                p, comparator=ComparatorModel(offset_sigma=sigma_v).randomised(rng)
+            ).times_from_voltages(v_out).times[0]
+            for _ in range(400)
+        ]
+        assert np.std(times, ddof=1) == pytest.approx(predicted, rel=0.15)

@@ -11,7 +11,6 @@ from repro.faults import (
     DriftInjector,
     StuckAtInjector,
     VariationInjector,
-    WearInjector,
 )
 from repro.reram.device import DeviceSpec
 
@@ -98,23 +97,6 @@ class TestDrift:
             DriftInjector(elapsed=-1.0)
 
 
-class TestWear:
-    def test_zero_cycles_is_identity(self, weights, rng):
-        injector = WearInjector(cycles=0)
-        assert injector.is_null
-        assert np.allclose(injector.apply(weights, rng), weights)
-
-    def test_window_closure_clips_extremes(self, rng):
-        g = np.array([0.0, 0.5, 1.0])
-        out = WearInjector(cycles=9e6).apply(g, rng)
-        assert out[0] > 0.0 and out[2] < 1.0
-        assert out[1] == pytest.approx(0.5)
-
-    def test_validation(self):
-        with pytest.raises(DeviceError):
-            WearInjector(cycles=-1)
-
-
 class TestComposite:
     def test_stages_apply_in_order(self, weights, rng):
         # Stuck-on-everything last wins regardless of earlier stages.
@@ -157,7 +139,6 @@ class TestDescribe:
             StuckAtInjector(stuck_on_rate=0.01),
             VariationInjector(sigma=0.1, distribution="lognormal"),
             DriftInjector(elapsed=3600.0),
-            WearInjector(cycles=1e6),
             CompositeInjector(
                 VariationInjector(sigma=0.1), StuckAtInjector()
             ),
@@ -173,7 +154,6 @@ NULL_INJECTORS = {
     "variation-lognormal": VariationInjector(0.0, distribution="lognormal"),
     "drift-elapsed": DriftInjector(elapsed=0.0),
     "drift-nu": DriftInjector(elapsed=1e6, nu=0.0),
-    "wear": WearInjector(cycles=0.0),
     "composite": CompositeInjector(
         VariationInjector(0.0), DriftInjector(0.0), StuckAtInjector()
     ),

@@ -7,7 +7,7 @@ from repro.config import CircuitParameters
 from repro.core.engine import ReSiPEEngine
 from repro.core.mvm import MVMMode
 from repro.faults import DriftInjector
-from repro.mapping import DesignBackend, PIMExecutor, ReSiPEBackend, compile_network
+from repro.mapping import PIMExecutor, ReSiPEBackend, compile_network
 from repro.nn import Dense, ReLU, Sequential
 
 
@@ -65,17 +65,6 @@ class TestExecutorAging:
         # Outputs shrink but stay highly correlated with the fresh ones.
         corr = np.corrcoef(fresh.ravel(), aged.ravel())[0, 1]
         assert corr > 0.99
-
-    def test_baseline_tiles_age_as_noop(self, rng):
-        from repro.baselines import LevelBasedPIM
-
-        model = Sequential([Dense(6, 3, rng=rng)], name="tiny")
-        backend = DesignBackend(lambda r, c: LevelBasedPIM(r, c))
-        net = compile_network(model, backend)
-        executor = PIMExecutor(net, rng.random((4, 6)))
-        x = rng.random((4, 6))
-        aged = executor.faulted(DriftInjector(1e9, nu=0.1), rng)
-        assert np.allclose(executor.forward(x), aged.forward(x))
 
     def test_ideal_tiles_drift_on_the_unit_window(self, rng):
         from repro.mapping.backends import IdealBackend

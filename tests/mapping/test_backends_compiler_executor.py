@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.baselines import LevelBasedPIM
 from repro.config import CircuitParameters
 from repro.core.mvm import MVMMode
 from repro.errors import MappingError
 from repro.faults import VariationInjector
 from repro.mapping import (
-    DesignBackend,
     IdealBackend,
     PIMExecutor,
     ReSiPEBackend,
@@ -63,18 +61,6 @@ class TestBackends:
         backend = ReSiPEBackend()
         with pytest.raises(MappingError):
             backend.program(rng.random((64, 8)))
-
-    def test_design_backend(self, rng):
-        backend = DesignBackend(lambda r, c: LevelBasedPIM(r, c))
-        w = rng.random((8, 4))
-        tile = backend.program(w)
-        x = rng.random((2, 8))
-        assert np.abs(tile.matmul(x) - x @ w).max() < 0.1
-
-    def test_design_backend_rejects_non_design(self):
-        backend = DesignBackend(lambda r, c: object())
-        with pytest.raises(MappingError):
-            backend.program(np.zeros((2, 2)))
 
 
 class TestCompiler:

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import LevelBasedPIM
 from repro.config import CircuitParameters
 from repro.core.mvm import MVMMode
 from repro.errors import DeviceError, ShapeError
@@ -27,11 +26,9 @@ from repro.faults import (
     DriftInjector,
     StuckAtInjector,
     VariationInjector,
-    WearInjector,
 )
 from repro.faults.injectors import FaultInjector
 from repro.mapping import (
-    DesignBackend,
     IdealBackend,
     PIMExecutor,
     ReSiPEBackend,
@@ -72,9 +69,8 @@ INJECTORS = {
     "lognormal": lambda s: VariationInjector(s, distribution="lognormal"),
     "stuck-at": lambda s: StuckAtInjector(s / 2, s / 3),
     "drift": lambda s: DriftInjector(10 ** (8 * s), nu=0.05, nu_sigma=s),
-    "wear": lambda s: WearInjector(2e7 * s),
     "composite": lambda s: CompositeInjector(
-        WearInjector(1e6), VariationInjector(s), StuckAtInjector(s / 4)
+        DriftInjector(1e6, nu=0.05), VariationInjector(s), StuckAtInjector(s / 4)
     ),
     "dead-column": lambda s: DeadColumn(),
 }
@@ -111,9 +107,8 @@ def _oracle_tile(tile, injector, rng):
             [_oracle_tile(t, injector, rng) for t in tile._tiles],
             list(tile._scales),
         )
-    if isinstance(tile, _IdealTile):
-        return _IdealTile(injector.apply(tile._w, rng, None))
-    return tile  # design tiles carry no device state
+    assert isinstance(tile, _IdealTile), type(tile)
+    return _IdealTile(injector.apply(tile._w, rng, None))
 
 
 def per_tile_chain(network, injector, rng):
@@ -133,9 +128,7 @@ def _tile_state(tile):
         return [e.array.conductances.tobytes() for e in tile._engines]
     if hasattr(tile, "_tiles"):  # bit-sliced
         return [b for inner in tile._tiles for b in _tile_state(inner)]
-    if hasattr(tile, "_w"):  # ideal
-        return [tile._w.tobytes()]
-    return [id(tile)]  # design tiles carry no drawn state
+    return [tile._w.tobytes()]  # ideal
 
 
 def _state(network):
@@ -171,7 +164,7 @@ def test_elementwise_is_declared_by_the_built_in_mechanisms():
     kinds = {k: INJECTORS[k](0.1).elementwise for k in INJECTORS}
     assert kinds == {
         "variation": True, "lognormal": True, "stuck-at": True,
-        "drift": True, "wear": True, "composite": False,
+        "drift": True, "composite": False,
         "dead-column": False,
     }
 
@@ -220,7 +213,6 @@ def test_clone_engines_share_the_pristine_stages():
 BACKENDS = {
     "resipe": lambda: _resipe(redundancy=2),
     "ideal": lambda: IdealBackend(),
-    "design": lambda: DesignBackend(lambda r, c: LevelBasedPIM(r, c)),
     "bit-sliced": lambda: BitSlicingBackend(total_bits=4, bits_per_slice=2),
 }
 
@@ -229,7 +221,7 @@ BACKENDS = {
 def test_sigma_zero_draws_nothing_and_shares_tiles(kind):
     network = _network(BACKENDS[kind](), widths=(20, 9, 3))
     for injector in (VariationInjector(0.0), DriftInjector(0.0),
-                     CompositeInjector(StuckAtInjector(), WearInjector(0))):
+                     CompositeInjector(StuckAtInjector(), DriftInjector(0))):
         rng = np.random.default_rng(5)
         before = _rng_state(rng)
         clone = network.faulted(injector, rng)
@@ -238,7 +230,7 @@ def test_sigma_zero_draws_nothing_and_shares_tiles(kind):
         assert clone.drawn is None
 
 
-@pytest.mark.parametrize("kind", ["ideal", "design", "bit-sliced"])
+@pytest.mark.parametrize("kind", ["ideal", "bit-sliced"])
 def test_fallback_tiles_keep_their_own_draw(kind):
     network = _network(BACKENDS[kind](), widths=(20, 9, 3))
     for injector in (VariationInjector(0.15), INJECTORS["composite"](0.15)):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import LevelBasedPIM
 from repro.config import CircuitParameters
 from repro.core.mvm import MVMMode
 from repro.errors import MappingError
@@ -20,7 +19,6 @@ from repro.faults import (
 )
 from repro.faults.injectors import FaultInjector
 from repro.mapping import (
-    DesignBackend,
     IdealBackend,
     PIMExecutor,
     ReSiPEBackend,
@@ -28,6 +26,7 @@ from repro.mapping import (
     detect_and_remap,
     spare_columns_for,
 )
+from repro.mapping.bit_slicing import BitSlicingBackend
 from repro.mapping.remap import (
     PatchedLayer,
     _augment,
@@ -264,20 +263,21 @@ def _oracle_output(strip, x_aug, factor):
 def _layer(kind, redundancy, fan_in, fan_out):
     """One calibrated-looking Dense layer on 8 x 8 crossbars: ``fan_in +
     1`` rows leave a ragged last band unless they are a multiple of 8,
-    and more than 8 columns span two column bands.  Design tiles cannot
-    lend a column slice, so their strips are programmed afresh."""
+    and more than 8 columns span two column bands.  Bit-sliced tiles
+    cannot lend a column slice, so their strips are programmed afresh."""
     if kind == "ideal":
         backend = IdealBackend(max_rows=8, max_cols=8)
-    elif kind == "design":
-        backend = DesignBackend(lambda r, c: LevelBasedPIM(r, c), 8, 8)
     else:
         params = dataclasses.replace(
             CircuitParameters.calibrated(), rows=8, cols=8
         )
         backend = ReSiPEBackend(
             params=params, redundancy=redundancy,
-            mode=MVMMode.EXACT if kind == "exact" else MVMMode.LINEAR,
+            mode=MVMMode.LINEAR if kind == "linear" else MVMMode.EXACT,
         )
+        if kind == "bit-sliced":
+            backend = BitSlicingBackend(total_bits=4, bits_per_slice=2,
+                                        inner=backend)
     rng = np.random.default_rng(fan_in * 100 + fan_out)
     model = Sequential([Dense(fan_in, fan_out, rng=rng)], name="strip")
     layer = compile_network(model, backend).stages[0]
@@ -289,7 +289,7 @@ _INJECTOR = CompositeInjector(
 )
 
 _cases = dict(
-    kind=st.sampled_from(["ideal", "exact", "linear", "design"]),
+    kind=st.sampled_from(["ideal", "exact", "linear", "bit-sliced"]),
     redundancy=st.integers(1, 2),
     fan_in=st.integers(1, 30),
     fan_out=st.integers(1, 12),

@@ -1,46 +1,11 @@
-"""1T1R cell, IR-drop solver and write-verify programming."""
+"""IR-drop solver on small crossbars."""
 
 import numpy as np
 import pytest
 
 from repro.errors import DeviceError, ShapeError
-from repro.reram.cell import OneTransistorOneReRAM
 from repro.reram.crossbar import CrossbarArray
-from repro.reram.device import DeviceSpec, ReRAMDevice
 from repro.reram.nonideal import IRDropSolver, WireParasitics
-from repro.reram.programming import WriteVerifyProgrammer
-
-
-class TestCell:
-    def test_effective_conductance_includes_access(self):
-        spec = DeviceSpec.paper_linear_range()
-        cell = OneTransistorOneReRAM(ReRAMDevice(spec, initial_g=1e-5), r_on=1e3)
-        assert cell.effective_resistance == pytest.approx(1e5 + 1e3)
-
-    def test_deselected_leaks(self):
-        spec = DeviceSpec.paper_linear_range()
-        cell = OneTransistorOneReRAM.fresh(spec)
-        cell.deselect()
-        assert cell.effective_conductance == pytest.approx(cell.g_leak)
-        cell.select()
-        assert cell.effective_conductance > cell.g_leak
-
-    def test_program_effective_compensates_access(self):
-        spec = DeviceSpec.paper_full_range()
-        cell = OneTransistorOneReRAM.fresh(spec, r_on=5e3)
-        cell.program_effective(1e-5)  # 100 kOhm effective
-        assert cell.effective_conductance == pytest.approx(1e-5, rel=1e-9)
-
-    def test_unreachable_target(self):
-        spec = DeviceSpec.paper_linear_range()
-        cell = OneTransistorOneReRAM.fresh(spec, r_on=5e3)
-        with pytest.raises(DeviceError):
-            cell.target_device_conductance(1.0 / 4e3)
-
-    def test_validation(self):
-        spec = DeviceSpec.paper_linear_range()
-        with pytest.raises(DeviceError):
-            OneTransistorOneReRAM(ReRAMDevice(spec), r_on=-1.0)
 
 
 class TestIRDrop:
@@ -81,47 +46,3 @@ class TestIRDrop:
             WireParasitics(r_wire_wl=-1.0)
         with pytest.raises(DeviceError):
             WireParasitics(r_sense=0.0)
-
-
-class TestWriteVerify:
-    def test_converges(self, rng):
-        spec = DeviceSpec.paper_linear_range()
-        xb = CrossbarArray(8, 8, spec)
-        target = spec.g_min + rng.random((8, 8)) * spec.g_range
-        report = WriteVerifyProgrammer(tolerance=0.02).program(xb, target, rng)
-        assert report.converged_fraction == pytest.approx(1.0)
-        assert report.max_relative_error <= 0.02 * 1.001
-        assert np.allclose(xb.conductances, target, rtol=0.025)
-
-    def test_tighter_tolerance_needs_more_pulses(self, rng):
-        spec = DeviceSpec.paper_linear_range()
-        target = spec.g_min + rng.random((8, 8)) * spec.g_range
-        loose_xb = CrossbarArray(8, 8, spec)
-        tight_xb = CrossbarArray(8, 8, spec)
-        loose = WriteVerifyProgrammer(tolerance=0.10).program(
-            loose_xb, target, np.random.default_rng(0)
-        )
-        tight = WriteVerifyProgrammer(tolerance=0.005).program(
-            tight_xb, target, np.random.default_rng(0)
-        )
-        assert tight.total_pulses > loose.total_pulses
-
-    def test_energy_positive(self, rng):
-        spec = DeviceSpec.paper_linear_range()
-        xb = CrossbarArray(4, 4, spec)
-        target = np.full((4, 4), 0.5 * (spec.g_min + spec.g_max))
-        report = WriteVerifyProgrammer().program(xb, target, rng)
-        assert report.programming_energy > 0
-
-    def test_shape_checked(self, rng):
-        xb = CrossbarArray(4, 4)
-        with pytest.raises(ShapeError):
-            WriteVerifyProgrammer().program(xb, np.zeros((3, 3)), rng)
-
-    def test_validation(self):
-        with pytest.raises(DeviceError):
-            WriteVerifyProgrammer(tolerance=0.0)
-        with pytest.raises(DeviceError):
-            WriteVerifyProgrammer(max_iterations=0)
-        with pytest.raises(DeviceError):
-            WriteVerifyProgrammer(step_gain=2.0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DeviceError
-from repro.reram.device import DeviceSpec, ReRAMDevice
+from repro.reram.device import DeviceSpec
 
 
 class TestDeviceSpec:
@@ -72,44 +72,3 @@ class TestDeviceSpec:
             DeviceSpec(levels=1)
         with pytest.raises(DeviceError):
             DeviceSpec(write_voltage=0.0)
-
-
-class TestReRAMDevice:
-    def test_fresh_at_hrs(self):
-        spec = DeviceSpec.paper_linear_range()
-        dev = ReRAMDevice(spec)
-        assert dev.conductance == pytest.approx(spec.g_min)
-        assert dev.resistance == pytest.approx(spec.r_hrs)
-
-    def test_program_and_count(self):
-        spec = DeviceSpec.paper_linear_range()
-        dev = ReRAMDevice(spec)
-        dev.program(spec.g_max)
-        assert dev.conductance == pytest.approx(spec.g_max)
-        assert dev.write_count == 1
-
-    def test_program_clips_to_window(self):
-        spec = DeviceSpec.paper_linear_range()
-        dev = ReRAMDevice(spec)
-        dev.program(spec.g_max * 10)
-        assert dev.conductance == pytest.approx(spec.g_max)
-
-    def test_nudge(self):
-        spec = DeviceSpec.paper_linear_range()
-        dev = ReRAMDevice(spec, initial_g=spec.g_min)
-        dev.nudge(1e-6)
-        assert dev.conductance == pytest.approx(spec.g_min + 1e-6)
-
-    def test_read_current_ohmic(self):
-        spec = DeviceSpec.paper_linear_range()
-        dev = ReRAMDevice(spec, initial_g=2e-5)
-        assert dev.read_current(0.5) == pytest.approx(1e-5)
-
-    def test_write_energy_positive(self):
-        dev = ReRAMDevice(DeviceSpec.paper_linear_range())
-        assert dev.write_energy() > 0
-
-    def test_rejects_bad_initial(self):
-        spec = DeviceSpec.paper_linear_range()
-        with pytest.raises(DeviceError):
-            ReRAMDevice(spec, initial_g=spec.g_max * 2)

@@ -4,16 +4,16 @@ The IR-drop solver assembles its MNA matrix with numpy index arithmetic
 (:meth:`IRDropSolver._stamps`).  These tests rebuild the same matrix the
 slow way — one Python loop iteration per wordline segment, bitline
 segment and cell — and check the two agree, then verify the solved
-currents against a netlist built with the original :class:`DCCircuit`
-loops, plus the LU-cache bookkeeping.
+currents against a netlist solved by the :class:`DCCircuit` test
+oracle, plus the LU-cache bookkeeping.
 """
 
 import numpy as np
 import pytest
 
-from repro.circuits.mna import DCCircuit
 from repro.reram.crossbar import CrossbarArray
 from repro.reram.nonideal import IRDropSolver, WireParasitics
+from tests.circuits.dc_circuit import DCCircuit
 
 
 def _loop_built_matrix(solver, sense_resistance, wire_floor):

@@ -48,14 +48,6 @@ class TestAmbientContext:
         assert context.current() is None
         assert context.current_trace_id() is None
 
-    def test_attach_detach_restores(self):
-        token = context.attach(TraceContext(trace_id="abc-1"))
-        try:
-            assert context.current_trace_id() == "abc-1"
-        finally:
-            context.detach(token)
-        assert context.current_trace_id() is None
-
     def test_trace_scope_with_explicit_id(self):
         with context.trace_scope("cafe-2") as ctx:
             assert ctx.trace_id == "cafe-2"

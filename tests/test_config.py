@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.config import CircuitParameters, default_parameters
+from repro.config import CircuitParameters
 from repro.errors import ConfigurationError
 
 
@@ -60,9 +60,6 @@ class TestCalibratedPoint:
             CircuitParameters.calibrated(linearity_ratio=0.0)
         with pytest.raises(ConfigurationError):
             CircuitParameters.calibrated(ramp_ratio=-1.0)
-
-    def test_default_parameters_is_calibrated(self):
-        assert default_parameters() == CircuitParameters.calibrated()
 
 
 class TestValidation:

@@ -17,8 +17,6 @@ from repro.units import (
     PICO,
     TERA,
     conductance,
-    db,
-    from_db,
     parallel,
     resistance,
     si_format,
@@ -95,26 +93,6 @@ class TestSiFormat:
         assert si_format(123.456e-9, "s", digits=2) == "120 ns"
 
 
-class TestDecibels:
-    def test_round_trip(self):
-        assert from_db(db(100.0)) == pytest.approx(100.0)
-
-    def test_known_values(self):
-        assert db(10.0) == pytest.approx(10.0)
-        assert db(2.0) == pytest.approx(3.0103, rel=1e-4)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ConfigurationError):
-            db(0.0)
-        with pytest.raises(ConfigurationError):
-            db(-1.0)
-
-    def test_rejection_still_catchable_as_valueerror(self):
-        # Back-compat: ConfigurationError derives from ValueError.
-        with pytest.raises(ValueError):
-            db(0.0)
-
-
 class TestParallel:
     def test_two_equal(self):
         assert parallel(10e3, 10e3) == pytest.approx(5e3)
@@ -130,6 +108,11 @@ class TestParallel:
             parallel(10.0, -5.0)
         with pytest.raises(ConfigurationError):
             parallel()
+
+    def test_rejection_still_catchable_as_valueerror(self):
+        # Back-compat: ConfigurationError derives from ValueError.
+        with pytest.raises(ValueError):
+            parallel(0.0)
 
 
 class TestConductanceResistance:
